@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .spectrum import (
     energy_window,
     enumerate_spectrum,
     find_inversions,
+    find_roots,
     group_degeneracies,
     mismatch,
     pde_residual,
@@ -124,9 +126,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(ordering_raw, dict) or set(ordering_raw) != {"alpha", "beta", "gamma"}:
         raise ConfigError("'ordering' must be an object with keys alpha, beta, gamma")
     try:
-        ordering = OrderingParams(
-            float(ordering_raw["alpha"]), float(ordering_raw["beta"]), float(ordering_raw["gamma"])
-        )
+        ordering = OrderingParams(*(_require_number(ordering_raw, k) for k in ("alpha", "beta", "gamma")))
         mass = MassParams(
             m0=merged["m0"],
             g1=merged["g1"],
@@ -161,17 +161,20 @@ def config_from_dict(data: dict) -> RunConfig:
         if not isinstance(w, dict) or set(w) != {"lo", "hi"}:
             raise ConfigError("'window' must be an object with keys lo, hi")
         try:
-            window = EnergyWindow(float(w["lo"]), float(w["hi"]))
+            window = EnergyWindow(_require_number(w, "lo"), _require_number(w, "hi"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     g = merged["grid"]
     if not isinstance(g, dict) or set(g) != {"x0", "x1", "nx", "y0", "y1", "ny"}:
         raise ConfigError("'grid' must be an object with keys x0, x1, nx, y0, y1, ny")
+    for key in ("nx", "ny"):
+        if not isinstance(g[key], int) or isinstance(g[key], bool):
+            raise ConfigError(f"field '{key}' must be an integer, got {g[key]!r}")
     try:
         grid = oracle.Grid2D(
-            oracle.Grid1D(float(g["x0"]), float(g["x1"]), int(g["nx"])),
-            oracle.Grid1D(float(g["y0"]), float(g["y1"]), int(g["ny"])),
+            oracle.Grid1D(_require_number(g, "x0"), _require_number(g, "x1"), g["nx"]),
+            oracle.Grid1D(_require_number(g, "y0"), _require_number(g, "y1"), g["ny"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -288,11 +291,9 @@ def cmd_fields(
         if m is None or n is None:
             raise ConfigError("chi/psi fields need --m and --n")
         window = _resolve_window(cfg)
-        entries = [
-            e
-            for e in enumerate_spectrum(model, cfg.variant, window, max(cfg.max_q, m, n), cfg.scan_points, cfg.tol_root)
-            if e.m == m and e.n == n
-        ]
+        entries = []
+        if m >= 0 and n >= 0:
+            entries = find_roots(model, cfg.variant, m, n, window, cfg.scan_points, cfg.tol_root)
         if not entries:
             raise UnknownLevel(f"no spectrum entry for (m, n)=({m}, {n})")
         valid = [e for e in entries if e.valid.all_ok]
@@ -541,14 +542,7 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
         status = "reproduced" if len(hits) == len(quarters) and quarters else "not reproduced"
         print(f"eight-fold cluster at 0.25 ({len(quarters)} ordered pairs + mirrors): {status} by {label}")
 
-    class _Ref:
-        __slots__ = ("m", "n", "energy")
-
-        def __init__(self, m, n, e):
-            self.m, self.n, self.energy = m, n, e
-
-    refs = [_Ref(r.m, r.n, r.e_ref) for r in cmp.rows]
-    inv = find_inversions(refs)
+    inv = find_inversions([SimpleNamespace(m=r.m, n=r.n, energy=r.e_ref) for r in cmp.rows])
     if inv:
         a, b = inv[0]
         print(
@@ -570,7 +564,7 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
 def cmd_oracle(cfg: RunConfig, m: int, n: int, out_dir: str = ".") -> int:
     """Finite-difference cross-check of one level against the closed form."""
     window = _resolve_window(cfg)
-    roots = spectrum.find_roots(cfg.model, Variant.FIRST_PRINCIPLES, m, n, window, cfg.scan_points, cfg.tol_root)
+    roots = find_roots(cfg.model, Variant.FIRST_PRINCIPLES, m, n, window, cfg.scan_points, cfg.tol_root)
     grid = oracle.Grid2D(oracle.Grid1D(-4.0, 14.0, 192), oracle.Grid1D(-4.0, 14.0, 192))
     e_num = oracle.oracle_energy_2d(cfg.model, m, n, window, grid)
     print(f"finite-difference energy ({m},{n}): {_fmt(e_num)}")

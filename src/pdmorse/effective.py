@@ -28,6 +28,8 @@ class GammaSet:
     gamma3: float
     gamma4: float
     e_trial: float
+    #: m0 (r - E), the amount by which each weight moves per unit of g_i.
+    shift: float
 
 
 def grad_coefficient(ordering: OrderingParams) -> float:
@@ -77,7 +79,10 @@ def veff_at(model: Model, x, y):
 
 
 def gammas_at(model: Model, e_trial: float) -> GammaSet:
-    """Reduced-potential weights gamma_i = b_i + m0 (r - E) g_i at trial E."""
+    """Reduced-potential weights gamma_i = b_i + m0 (r - E) g_i at trial E.
+
+    Elementwise: an array of trial energies gives arrays of weights.
+    """
     shift = model.mass.m0 * (model.pot.r - e_trial)
     return GammaSet(
         gamma1=model.pot.b1 + shift * model.mass.g1,
@@ -85,6 +90,7 @@ def gammas_at(model: Model, e_trial: float) -> GammaSet:
         gamma3=model.pot.b3 + shift * model.mass.g3,
         gamma4=model.pot.b4 + shift * model.mass.g4,
         e_trial=e_trial,
+        shift=shift,
     )
 
 

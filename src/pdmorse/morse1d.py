@@ -70,7 +70,8 @@ def channel_from_gammas(gamma_lin: float, gamma_quad: float, decay: float, hbar:
     """Build the separated channel from reduced-potential weights.
 
     eta = 2 gamma_lin / hbar^2 and nu = 2 gamma_quad / hbar^2, so the channel
-    inherits the energy dependence of the gammas it was built from.
+    inherits the energy dependence of the gammas it was built from.  Array
+    weights give a channel per element, which only ``_level_epsilon`` reads.
     """
     h2 = hbar * hbar
     return MorseChannel(eta=2.0 * gamma_lin / h2, nu=2.0 * gamma_quad / h2, alpha=decay)
@@ -97,11 +98,23 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
         raise InvalidLevel(f"level m={m} exceeds m_max={top} for channel {ch}")
     if m < 0:
         raise InvalidLevel(f"quantum number must be non-negative, got {m}")
-    root_nu = math.sqrt(ch.nu)
-    bracket = abs(ch.eta) - ch.alpha * root_nu * (2 * m + 1)
-    eps = -(bracket * bracket) / (4.0 * ch.nu)
+    eps = float(_level_epsilon(ch, m))
     mu = math.sqrt(-eps) / ch.alpha
     return Bound1D(m=m, epsilon=eps, mu=mu, lam=ch.lam, z_scale=ch.z_scale)
+
+
+def _level_epsilon(ch: MorseChannel, m: int):
+    """eps_m elementwise over array-valued eta and nu; NaN where level m is not bound.
+
+    Level m is bound when nu > 0, eta < 0 and m <= ceil(lam - 1/2) - 1, the
+    same cap as :func:`m_max`.
+    """
+    with np.errstate(all="ignore"):
+        root_nu = np.sqrt(ch.nu)
+        lam = -ch.eta / (2.0 * ch.alpha * root_nu)
+        bound = (ch.nu > 0.0) & (ch.eta < 0.0) & (m <= np.ceil(lam - 0.5) - 1)
+        bracket = np.abs(ch.eta) - ch.alpha * root_nu * (2 * m + 1)
+        return np.where(bound, -(bracket * bracket) / (4.0 * ch.nu), np.nan)
 
 
 def laguerre(n: int, a: float, z):

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .effective import epsilon_of, gammas_at
 from .errors import EvaluationOverflow, GridTooSmall, NoBracket, NotConverged, Unbounded
@@ -72,6 +69,8 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int, vectors: bool = False) -> Eigen
     eigenproblem is solved by LAPACK's Sturm-sequence bisection, which is
     deterministic and returns exactly the requested index range.
     """
+    import scipy.linalg
+
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n_int = grid.n - 2
@@ -168,6 +167,9 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
             vals = _lowest_sums(ex, ey, k)
             return EigenResult(vals, None, grid, (grid.x.h, grid.y.h))
 
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     x = grid.x.interior()
     y = grid.y.interior()
     X, Y = np.meshgrid(x, y)
@@ -228,22 +230,28 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
 
     es = np.linspace(window.lo, window.hi, scan_points)
     vals = [g_of(float(e)) for e in es]
-    bracket = None
     for i in range(scan_points - 1):
         if vals[i] == 0.0:
             return float(es[i])
         if vals[i] * vals[i + 1] < 0.0:
-            bracket = (float(es[i]), float(es[i + 1]), vals[i])
-            break
-    if bracket is None:
-        raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
-    lo, hi, flo = bracket
-    while hi - lo > tol:
+            return _bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], tol)
+    raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
+
+
+def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
+    """Bisection of a bracket [lo, hi] with f(lo) = flo of opposite sign to f(hi).
+
+    Stops at width tol, but never below a few float spacings of the bracket,
+    so tol = 0 terminates too.  Where f is NaN (undefined) the midpoint
+    replaces hi, keeping the defined lower side.
+    """
+    width_floor = max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+    while hi - lo > width_floor:
         mid = 0.5 * (lo + hi)
-        fm = g_of(mid)
+        fm = f(mid)
         if fm == 0.0:
             return mid
-        if flo * fm < 0.0:
+        if flo * fm < 0.0 or math.isnan(fm):
             hi = mid
         else:
             lo, flo = mid, fm

@@ -24,11 +24,12 @@ import numpy as np
 
 from . import oracle
 from .effective import epsilon_of, gammas_at, ueff_at
-from .errors import ChannelUnsupported, DegenerateWindow, InvalidLevel, NoBoundStates
+from .errors import ChannelUnsupported, DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
 from .morse1d import (
     MorseChannel,
     QuadratureSpec,
+    _level_epsilon,
     channel_from_gammas,
     energy_1d,
     m_max,
@@ -116,11 +117,6 @@ REFERENCE_LEVELS: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def in_of(model: Model, e: float) -> float:
-    """The shift m0 (r - E) that moves every gamma weight with energy."""
-    return model.mass.m0 * (model.pot.r - e)
-
-
 def channels_at(model: Model, e: float) -> tuple[MorseChannel, MorseChannel]:
     """Per-axis channels built from the reduced weights at trial energy e."""
     g = gammas_at(model, e)
@@ -129,33 +125,29 @@ def channels_at(model: Model, e: float) -> tuple[MorseChannel, MorseChannel]:
     return chx, chy
 
 
-def _mismatch_fp(model: Model, m: int, n: int, e: float) -> float:
-    chx, chy = channels_at(model, e)
-    for ch, axis in ((chx, "x"), (chy, "y")):
-        if not ch.supports_bound_states:
-            raise ChannelUnsupported(e, f"{axis}-channel has nu<=0 or eta>=0")
-    try:
-        eps_x = energy_1d(chx, m).epsilon
-        eps_y = energy_1d(chy, n).epsilon
-    except (InvalidLevel, NoBoundStates) as exc:
-        raise ChannelUnsupported(e, str(exc)) from exc
-    return eps_x + eps_y - epsilon_of(model, e)
+def _defect(model: Model, variant: Variant, m: int, n: int, e):
+    """F(E) elementwise over trial energies e, NaN where F is undefined.
 
-
-def _mismatch_pp(model: Model, m: int, n: int, e: float) -> float:
+    First-principles F is undefined where level m (x) or n (y) is not bound;
+    the printed condition where gamma2 <= 0 or gamma4 <= 0.
+    """
+    if m < 0 or n < 0:
+        raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
+    if variant is Variant.FIRST_PRINCIPLES:
+        chx, chy = channels_at(model, e)
+        return _level_epsilon(chx, m) + _level_epsilon(chy, n) - epsilon_of(model, e)
     # Verbatim transcription of the published condition: prefactor 8,
     # |gamma3| in both brackets, n paired with the x-axis quantities and
     # m with the y-axis ones, all evaluated at the shift m0 (r - E).
     g = gammas_at(model, e)
-    if g.gamma2 <= 0.0 or g.gamma4 <= 0.0:
-        raise ChannelUnsupported(e, "printed condition needs gamma2>0 and gamma4>0")
-    shift = in_of(model, e)
     ab1 = model.hbar * model.mass.a1
     ab2 = model.hbar * model.mass.a2
-    lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + shift)
-    t1 = abs(g.gamma3) - ab1 * math.sqrt(g.gamma2 / 2.0) * (2 * n + 1)
-    t2 = abs(g.gamma3) - ab2 * math.sqrt(g.gamma4 / 2.0) * (2 * m + 1)
-    return lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
+    with np.errstate(all="ignore"):
+        lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
+        t1 = np.abs(g.gamma3) - ab1 * np.sqrt(g.gamma2 / 2.0) * (2 * n + 1)
+        t2 = np.abs(g.gamma3) - ab2 * np.sqrt(g.gamma4 / 2.0) * (2 * m + 1)
+        f = lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
+    return np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), f, np.nan)
 
 
 def mismatch(model: Model, variant: Variant, m: int, n: int, e: float) -> float:
@@ -165,18 +157,12 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e: float) -> float:
     undefined (lost bound-state support, or level beyond the energy-dependent
     cap); scanners treat those regions as excluded rather than failed.
     """
-    if m < 0 or n < 0:
-        raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    if variant is Variant.FIRST_PRINCIPLES:
-        return _mismatch_fp(model, m, n, e)
-    return _mismatch_pp(model, m, n, e)
-
-
-def _mismatch_or_none(model: Model, variant: Variant, m: int, n: int, e: float) -> float | None:
-    try:
-        return mismatch(model, variant, m, n, e)
-    except ChannelUnsupported:
-        return None
+    f = float(_defect(model, variant, m, n, e))
+    if math.isnan(f):
+        if variant is Variant.PAPER_PRINTED:
+            raise ChannelUnsupported(e, "printed condition needs gamma2>0 and gamma4>0")
+        raise ChannelUnsupported(e, f"level ({m}, {n}) is not bound in both channels")
+    return f
 
 
 def validity_at(model: Model, window: EnergyWindow, m: int, n: int, e: float) -> ValidityFlags:
@@ -193,25 +179,6 @@ def validity_at(model: Model, window: EnergyWindow, m: int, n: int, e: float) ->
     )
 
 
-def _bisect_root(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Plain bisection on a bracketing interval; returns the midpoint."""
-    width_floor = max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-    while hi - lo > width_floor:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm is None:
-            # Support boundary fell inside the bracket; keep the defined side.
-            hi = mid
-            continue
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def find_roots(
     model: Model,
     variant: Variant,
@@ -223,28 +190,19 @@ def find_roots(
 ) -> list[SpectrumEntry]:
     """All bracketable roots of the mismatch inside the window, sorted by E.
 
-    Uniform sign scan over the supported sub-intervals, bisection polish of
-    every bracket to |dE| < tol.  Tangential (even-multiplicity) roots do not
+    Uniform sign scan of the whole grid at once (NaN marks where the
+    condition is undefined and never brackets), bisection polish of every
+    bracket to |dE| < tol.  Tangential (even-multiplicity) roots do not
     produce a sign change and are therefore not reported.
     """
     if scan_points < 100:
         raise ValueError(f"need scan_points >= 100, got {scan_points}")
     es = np.linspace(window.lo, window.hi, scan_points)
-    f = lambda e: _mismatch_or_none(model, variant, m, n, e)
-    vals = [f(float(e)) for e in es]
-
-    roots: list[float] = []
-    for i in range(scan_points - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is not None and a == 0.0:
-            roots.append(float(es[i]))
-            continue
-        if a is None or b is None:
-            continue
-        if a * b < 0.0:
-            roots.append(_bisect_root(f, float(es[i]), float(es[i + 1]), a, tol))
-    if vals[-1] is not None and vals[-1] == 0.0:
-        roots.append(float(es[-1]))
+    vals = _defect(model, variant, m, n, es)
+    f = lambda e: float(_defect(model, variant, m, n, e))
+    roots = [float(e) for e in es[vals == 0.0]]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(oracle._bisect(f, float(es[i]), float(es[i + 1]), float(vals[i]), tol))
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -253,17 +211,16 @@ def find_roots(
 
     out = []
     for r in merged:
-        fr = _mismatch_or_none(model, variant, m, n, r)
-        residual = abs(fr) if fr is not None else math.inf
+        fr = f(r)
         out.append(
             SpectrumEntry(
                 m=m,
                 n=n,
                 energy=r,
-                residual=residual,
+                residual=math.inf if math.isnan(fr) else abs(fr),
                 valid=validity_at(model, window, m, n, r),
                 variant=variant,
-                gamma_shift=in_of(model, r),
+                gamma_shift=gammas_at(model, r).shift,
             )
         )
     return out
@@ -322,14 +279,7 @@ def enumerate_spectrum(
             entries.extend(found)
             if symmetric and n > m:
                 entries.extend(_mirror(e) for e in found)
-    seen = set()
-    unique = []
-    for e in entries:
-        key = (e.m, e.n, e.energy)
-        if key not in seen:
-            seen.add(key)
-            unique.append(e)
-    return sorted(unique, key=lambda e: (e.energy, e.m, e.n))
+    return sorted(entries, key=lambda e: (e.energy, e.m, e.n))
 
 
 def energy_window(model: Model) -> EnergyWindow:

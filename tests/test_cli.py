@@ -60,6 +60,23 @@ class TestConfig:
         assert cfg2.model == cfg.model
         assert cfg2.variant == cfg.variant
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"ordering": {"alpha": None, "beta": 0.0, "gamma": -0.5}},
+            {"window": {"lo": None, "hi": 1.0}},
+            {"grid": {**DEFAULT_CONFIG["grid"], "x1": None}},
+            {"grid": {**DEFAULT_CONFIG["grid"], "nx": None}},
+            {"grid": {**DEFAULT_CONFIG["grid"], "nx": "41"}},
+            {"grid": {**DEFAULT_CONFIG["grid"], "ny": 41.9}},
+        ],
+    )
+    def test_wrong_type_exits_config_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: field '")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -217,6 +234,16 @@ class TestSubprocessEntrypoints:
         )
         assert cp.returncode == 0
         assert "spectrum" in cp.stdout and "compare-table" in cp.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        # The closed-form path never needs scipy; only the FD oracle imports it.
+        cp = subprocess.run(
+            [sys.executable, "-c", "import sys, pdmorse; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "False"
 
     def test_module_spectrum_smoke(self, tmp_path):
         cp = subprocess.run(

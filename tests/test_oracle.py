@@ -150,6 +150,27 @@ class TestOracleEnergy2D:
         e_closed = (math.sqrt(29.0) - 7.0) / 8.0
         assert abs(e - e_closed) < 1e-3
 
+    def test_zero_tolerance_terminates(self, reference_model, monkeypatch):
+        from pdmorse import oracle
+
+        window = EnergyWindow(-0.40692966918274637, 1.0)
+        grid = Grid2D(Grid1D(-4.0, 12.0, 32), Grid1D(-4.0, 12.0, 32))
+        e_tol = oracle_energy_2d(reference_model, 0, 0, window, grid)
+        # 64 scan points, then a bracket halves to a few float spacings in
+        # fewer than 64 steps; each G(E) costs two 1D eigensolves.
+        calls = []
+        real = oracle.fd_eigen_1d
+
+        def capped(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 2 * (64 + 64):
+                raise RuntimeError("bisection is not narrowing the bracket")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "fd_eigen_1d", capped)
+        e = oracle_energy_2d(reference_model, 0, 0, window, grid, tol=0.0)
+        assert abs(e - e_tol) < 1e-8
+
     def test_no_bracket_refuses(self, reference_model):
         window = EnergyWindow(0.95, 1.0)
         grid = Grid2D(Grid1D(-4.0, 12.0, 64), Grid1D(-4.0, 12.0, 64))

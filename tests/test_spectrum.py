@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdmorse import (
     ChannelUnsupported,
@@ -17,18 +20,30 @@ from pdmorse import (
     Variant,
     chi_mn,
     compare_table,
+    energy_1d,
     energy_window,
     enumerate_spectrum,
+    epsilon_of,
     find_inversions,
     find_roots,
+    gammas_at,
     group_degeneracies,
     mass_at,
     mismatch,
     pde_residual,
     psi_mn,
+    solve_ambiguity_free_ordering,
 )
+from pdmorse.errors import EvaluationOverflow, Unbounded
 from pdmorse.morse1d import _simpson
-from pdmorse.spectrum import SpectrumEntry, ValidityFlags, channels_at, is_xy_symmetric
+from pdmorse.spectrum import (
+    SpectrumEntry,
+    ValidityFlags,
+    _defect,
+    channels_at,
+    is_xy_symmetric,
+    validity_at,
+)
 
 
 def quadratic_roots_fp(m: int, n: int):
@@ -96,6 +111,63 @@ class TestMismatch:
         diffs = [abs(f(e0 + d) - f(e0)) for d in deltas]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-5
+
+
+@st.composite
+def supported_models(draw):
+    """A model around the reference set whose potential binds, with its window."""
+    u = lambda lo, hi: draw(st.floats(lo, hi))
+    model = Model(
+        hbar=u(0.7, 1.3),
+        mass=MassParams(
+            m0=u(0.5, 2.0), g1=u(0.0, 1.5), g2=u(0.0, 0.2), g3=u(0.0, 1.5), g4=u(0.0, 0.2),
+            a1=u(0.5, 1.5), a2=u(0.5, 1.5),
+        ),
+        pot=PotentialParams(
+            r=u(-0.5, 0.5), a=u(0.5, 1.5), b1=u(-1.5, -0.5), b2=u(0.05, 0.3), b3=u(-1.5, -0.5), b4=u(0.05, 0.3),
+        ),
+        ordering=solve_ambiguity_free_ordering(),
+    )
+    try:
+        window = energy_window(model)
+    except (DegenerateWindow, Unbounded, EvaluationOverflow):
+        # No window to draw energies from.  The overflow is minimize_potential
+        # drifting to |x| ~ 1e3 on a few of these models, not a scan defect.
+        assume(False)
+    return model, window
+
+
+class TestDefectArrayPath:
+    """The whole-grid defect against the scalar closed forms, point by point."""
+
+    @given(drawn=supported_models(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_nan_exactly_where_undefined(self, drawn, fractions):
+        model, window = drawn
+        es = window.lo + (window.hi - window.lo) * np.array(fractions)
+        for m in range(4):
+            for n in range(4):
+                fp = _defect(model, Variant.FIRST_PRINCIPLES, m, n, es)
+                pp = _defect(model, Variant.PAPER_PRINTED, m, n, es)
+                for e, f_fp, f_pp in zip(es.tolist(), fp.tolist(), pp.tolist()):
+                    v = validity_at(model, window, m, n, e)
+                    defined = v.support_x and v.support_y and v.level_x_allowed and v.level_y_allowed
+                    assert math.isnan(f_fp) != defined
+                    if defined:
+                        chx, chy = channels_at(model, e)
+                        want = energy_1d(chx, m).epsilon + energy_1d(chy, n).epsilon - epsilon_of(model, e)
+                        assert f_fp == want  # bitwise: same operations in the same order
+                    g = gammas_at(model, e)
+                    assert math.isnan(f_pp) == (g.gamma2 <= 0.0 or g.gamma4 <= 0.0)
+
+    def test_printed_condition_undefined_at_zero_weight(self, reference_model):
+        # gamma2 = 1/8 - E/8 is exactly zero at E = 1, where the printed
+        # formula alone would still give a finite number.
+        model = replace(reference_model, mass=replace(reference_model.mass, g2=0.125))
+        assert gammas_at(model, 1.0).gamma2 == 0.0
+        assert math.isnan(_defect(model, Variant.PAPER_PRINTED, 0, 0, np.array([0.5, 1.0]))[1])
+        with pytest.raises(ChannelUnsupported):
+            mismatch(model, Variant.PAPER_PRINTED, 0, 0, 1.0)
 
 
 class TestFindRoots:
