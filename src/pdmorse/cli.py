@@ -32,12 +32,11 @@ from .errors import (
     NotConverged,
     OrderingNotSolvable,
     PdmorseError,
-    QuadratureNotConverged,
     Unbounded,
     UnknownLevel,
 )
 from .model import MassParams, Model, OrderingParams, PotentialParams, mass_at, potential_at, solve_ambiguity_free_ordering
-from .morse1d import energy_1d, m_max, normalize_1d, wavefunction_1d
+from .morse1d import energy_1d, m_max, wavefunction_1d
 from .spectrum import (
     EnergyWindow,
     Variant,
@@ -59,7 +58,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INVARIANT = 3
 
-_NUMERIC_ERRORS = (NotConverged, NoBracket, QuadratureNotConverged, EvaluationOverflow)
+_NUMERIC_ERRORS = (NotConverged, NoBracket, EvaluationOverflow)
 
 #: Example parameter set shipped as the default configuration.
 DEFAULT_CONFIG: dict = {
@@ -99,6 +98,8 @@ class RunConfig:
     grid: oracle.Grid2D
     tol_root: float
     tol_degeneracy: float
+    #: Validated and kept for existing callers; no output depends on it,
+    #: because every L2 norm is an exact closed form.
     tol_quadrature: float
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -215,11 +216,6 @@ def load_config(path: str | None) -> RunConfig:
     return config_from_dict(data)
 
 
-def effective_config_dict(cfg: RunConfig) -> dict:
-    """The fully defaulted config; reloading it reproduces the same run."""
-    return dict(cfg.raw)
-
-
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
@@ -297,9 +293,15 @@ def cmd_fields(
         if not entries:
             raise UnknownLevel(f"no spectrum entry for (m, n)=({m}, {n})")
         valid = [e for e in entries if e.valid.all_ok]
-        entry = (valid or entries)[0]
+        if not valid:
+            roots = ", ".join(f"E={_fmt(e.energy)}" for e in entries)
+            raise UnknownLevel(
+                f"no valid spectrum entry for (m, n)=({m}, {n}); "
+                f"invalid {cfg.variant.value} roots: {roots}"
+            )
+        entry = valid[0]
         fn = chi_mn if which == "chi" else psi_mn
-        value = lambda x, y: fn(model, entry, x, y, cfg.tol_quadrature)
+        value = lambda x, y: fn(model, entry, x, y)
     elif which == "potential":
         value = lambda x, y: potential_at(model, x, y)
     elif which == "mass":
@@ -323,6 +325,18 @@ def cmd_fields(
 def _verify_checks(cfg: RunConfig):
     """Yield (name, callable) pairs; each callable returns a detail string."""
     model = cfg.model
+    resolved: list = []
+
+    def window() -> EnergyWindow:
+        """The run's window, resolved once; a failure is re-raised to each check that needs it."""
+        if not resolved:
+            try:
+                resolved.append(_resolve_window(cfg))
+            except PdmorseError as exc:
+                resolved.append(exc)
+        if isinstance(resolved[0], PdmorseError):
+            raise resolved[0]
+        return resolved[0]
 
     def check_ordering():
         o = solve_ambiguity_free_ordering()
@@ -393,29 +407,26 @@ def _verify_checks(cfg: RunConfig):
         chx, _ = channels_at(model, model.pot.r)
         if not chx.supports_bound_states or m_max(chx) < 1:
             return "skipped: fewer than two levels"
-        from .morse1d import integration_domain, _simpson
-
         s0 = energy_1d(chx, 0)
         s1 = energy_1d(chx, 1)
-        n0 = normalize_1d(chx, s0)
-        n1 = normalize_1d(chx, s1)
-        lo0, hi0 = integration_domain(chx, s0)
-        lo1, hi1 = integration_domain(chx, s1)
-        lo, hi = min(lo0, lo1), max(hi0, hi1)
-        overlap = _simpson(
-            lambda t: (n0 * wavefunction_1d(chx, s0, t)) * (n1 * wavefunction_1d(chx, s1, t)),
-            lo,
-            hi,
-            1 << 14,
-        )
+        # Composite 20-point Gauss-Legendre over the oracle domain plus 40
+        # e-foldings of level 1's slower outer tail.  numpy's rule: importing
+        # scipy.integrate would add ~23 MB to this command's peak memory.
+        grid = oracle.auto_grid_1d(chx)
+        hi = grid.x1 + 40.0 / (s1.mu * chx.alpha)
+        edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        t = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel()
+        overlap = float(np.sum(w * s0.norm * wavefunction_1d(chx, s0, t) * s1.norm * wavefunction_1d(chx, s1, t)))
         assert abs(overlap) < 1e-8, f"levels 0 and 1 overlap {overlap:.3e}"
         return f"<0|1> = {abs(overlap):.3e}"
 
     entries_box: list = []
 
     def check_backsub():
-        window = _resolve_window(cfg)
-        entries = enumerate_spectrum(model, cfg.variant, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
+        entries = enumerate_spectrum(model, cfg.variant, window(), cfg.max_q, cfg.scan_points, cfg.tol_root)
         entries_box.extend(entries)
         worst = max((e.residual for e in entries), default=0.0)
         for e in entries:
@@ -427,10 +438,10 @@ def _verify_checks(cfg: RunConfig):
     def check_pde():
         valid = [e for e in entries_box if e.valid.all_ok and e.variant is Variant.FIRST_PRINCIPLES]
         if cfg.variant is not Variant.FIRST_PRINCIPLES:
-            window = _resolve_window(cfg)
+            # Printed-condition roots are not eigenvalues of the reduced PDE.
             valid = [
                 e
-                for e in enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
+                for e in enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, window(), cfg.max_q, cfg.scan_points, cfg.tol_root)
                 if e.valid.all_ok
             ]
         if not valid:
@@ -443,12 +454,12 @@ def _verify_checks(cfg: RunConfig):
         return f"max relative residual {worst:.3e} over {min(3, len(valid))} levels"
 
     def check_window():
-        window = _resolve_window(cfg)
+        w = window()
         for e in entries_box:
-            assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9, (
+            assert w.lo - 1e-9 <= e.energy <= w.hi + 1e-9, (
                 f"({e.m},{e.n}) energy {e.energy} outside window"
             )
-        return f"{len(entries_box)} energies inside [{_fmt(window.lo)}, {_fmt(window.hi)}]"
+        return f"{len(entries_box)} energies inside [{_fmt(w.lo)}, {_fmt(w.hi)}]"
 
     def check_degeneracy():
         clusters = group_degeneracies(entries_box, cfg.tol_degeneracy)

@@ -41,10 +41,6 @@ class ChannelUnsupported(PdmorseError):
         super().__init__(f"no bound-state channel at E={e_trial!r}: {reason}")
 
 
-class QuadratureNotConverged(PdmorseError):
-    """Adaptive normalization quadrature failed to reach tolerance."""
-
-
 class GridTooSmall(PdmorseError):
     """The finite-difference grid cannot resolve the requested levels."""
 

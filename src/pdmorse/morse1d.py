@@ -3,9 +3,10 @@
 A channel with nu > 0 and eta < 0 holds finitely many bound levels.  In the
 variable z = (2 sqrt(nu)/a) e^{-ax} the eigenfunctions are
 z^mu e^{-z/2} L_m^{2mu}(z) with mu = sqrt(|eps_m|)/a, and the level count is
-capped by |eta| > a sqrt(nu) (2m+1).  Normalization is numerical: the closed
-forms are only defined up to scale, so every state reported here carries an
-L2 constant obtained by converged composite quadrature.
+capped by |eta| > a sqrt(nu) (2m+1).  Normalization is exact as well: in z the
+squared norm is Gamma(m + 2mu + 1) / (a m! 2mu) (J. P. Dahl and M. Springborg,
+J. Chem. Phys. 88, 4535, 1988), so every state carries its L2 constant from
+the moment it is built.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLevel, NoBoundStates, QuadratureNotConverged
+from .errors import InvalidLevel, NoBoundStates
 
 #: exp() underflows to zero below this exponent; used to short-circuit tails.
 _EXP_UNDERFLOW = -745.0
@@ -45,25 +46,19 @@ class MorseChannel:
         return 2.0 * math.sqrt(self.nu) / self.alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bound1D:
-    """One bound level: quantum number, energy, shape constants, L2 norm."""
+    """One bound level: quantum number, energy, shape constants, L2 norm.
+
+    ``norm`` times :func:`wavefunction_1d` has unit L2 norm over the real line.
+    """
 
     m: int
     epsilon: float
     mu: float
     lam: float
     z_scale: float
-    norm: float | None = None
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite-Simpson refinement control for normalization integrals."""
-
-    tol: float = 1e-8
-    initial_intervals: int = 256
-    max_doublings: int = 18
+    norm: float
 
 
 def channel_from_gammas(gamma_lin: float, gamma_quad: float, decay: float, hbar: float) -> MorseChannel:
@@ -90,7 +85,11 @@ def m_max(ch: MorseChannel) -> int | None:
 
 
 def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
-    """Closed-form level m: eps_m = -(1/4nu) [|eta| - a sqrt(nu) (2m+1)]^2."""
+    """Closed-form level m: eps_m = -(1/4nu) [|eta| - a sqrt(nu) (2m+1)]^2.
+
+    The L2 constant is N = sqrt(a m! 2mu / Gamma(m + 2mu + 1)), taken through
+    log-gammas so that deep channels (large mu) do not overflow.
+    """
     if not ch.supports_bound_states:
         raise NoBoundStates(f"channel {ch} has no bound states (need nu>0 and eta<0)")
     top = m_max(ch)
@@ -100,7 +99,8 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
         raise InvalidLevel(f"quantum number must be non-negative, got {m}")
     eps = float(_level_epsilon(ch, m))
     mu = math.sqrt(-eps) / ch.alpha
-    return Bound1D(m=m, epsilon=eps, mu=mu, lam=ch.lam, z_scale=ch.z_scale)
+    log_norm2 = math.log(ch.alpha * 2.0 * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0)
+    return Bound1D(m=m, epsilon=eps, mu=mu, lam=ch.lam, z_scale=ch.z_scale, norm=math.exp(0.5 * log_norm2))
 
 
 def _level_epsilon(ch: MorseChannel, m: int):
@@ -154,74 +154,3 @@ def wavefunction_1d(ch: MorseChannel, state: Bound1D, x):
     val = laguerre(state.m, 2.0 * state.mu, zs) * np.exp(exponent)
     out = np.where(dead, 0.0, val)
     return out if out.ndim else float(out)
-
-
-def _simpson(f, a: float, b: float, intervals: int) -> float:
-    """Composite Simpson on an even number of uniform intervals."""
-    xs = np.linspace(a, b, intervals + 1)
-    ys = f(xs)
-    h = (b - a) / intervals
-    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2]))
-
-
-def norm_constant(f, a: float, b: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Constant N with integral of (N f)^2 over [a, b] equal to one.
-
-    Simpson intervals are doubled until N moves by less than ``quad.tol``;
-    failure to settle raises QuadratureNotConverged.
-    """
-    sq = lambda xs: np.asarray(f(xs)) ** 2
-    intervals = quad.initial_intervals
-    prev = 1.0 / math.sqrt(_simpson(sq, a, b, intervals))
-    for _ in range(quad.max_doublings):
-        intervals *= 2
-        cur = 1.0 / math.sqrt(_simpson(sq, a, b, intervals))
-        if abs(cur - prev) < quad.tol:
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"normalization did not settle below {quad.tol} after {quad.max_doublings} doublings"
-    )
-
-
-def integration_domain(ch: MorseChannel, state: Bound1D, tail: float = 1e-16) -> tuple[float, float]:
-    """Interval outside which the squared wavefunction is below ``tail`` of its peak.
-
-    Starts from the peak of the nodeless envelope (z = 2 mu) and widens each
-    side geometrically until the integrand has fallen off.
-    """
-    a = ch.alpha
-    x_peak = -math.log(max(2.0 * state.mu, 1e-3) / state.z_scale) / a
-    # Sample around the envelope peak: for m > 0 the estimate may sit on a node.
-    probe = x_peak + np.linspace(-3.0, 3.0, 25) / a
-    peak = max(float(np.max(np.abs(wavefunction_1d(ch, state, probe)))), 1e-300)
-    threshold = math.sqrt(tail) * peak
-
-    step = 1.0 / a
-    left = x_peak - step
-    for _ in range(400):
-        if abs(wavefunction_1d(ch, state, left)) < threshold:
-            break
-        step *= 1.5
-        left -= step
-    else:  # pragma: no cover - bound states always decay
-        raise QuadratureNotConverged("left integration tail did not decay")
-
-    step = 1.0 / a
-    right = x_peak + step
-    for _ in range(400):
-        if abs(wavefunction_1d(ch, state, right)) < threshold:
-            break
-        step *= 1.5
-        right += step
-    else:  # pragma: no cover
-        raise QuadratureNotConverged("right integration tail did not decay")
-    return left, right
-
-
-def normalize_1d(ch: MorseChannel, state: Bound1D, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """L2-normalize the state; stores and returns the constant N."""
-    a, b = integration_domain(ch, state)
-    n = norm_constant(lambda xs: wavefunction_1d(ch, state, xs), a, b, quad)
-    state.norm = n
-    return n

@@ -283,8 +283,9 @@ def minimize_potential(model: Model, scan_span: float = 12.0, scan_nodes: int = 
     """Global minimum of the potential surface: (x*, y*, value).
 
     Coarse rectangular scan (each axis ranged by its own decay length)
-    followed by alternating per-axis golden-section refinement.  A minimum
-    pinned to the scan boundary with the potential still falling outward is
+    followed by alternating per-axis golden-section refinement whose brackets
+    stay inside the scan box.  A minimum pinned to the scan boundary, by the
+    scan with the potential still falling outward or by the refinement, is
     reported as Unbounded rather than returned as a fake minimizer.
     """
     lx = scan_span / model.mass.a1
@@ -324,16 +325,24 @@ def minimize_potential(model: Model, scan_span: float = 12.0, scan_nodes: int = 
                 fd = f(d)
         return 0.5 * (a + b)
 
+    x_lo, x_hi, y_lo, y_hi = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
     wx = 2.0 * (xs[1] - xs[0])
     wy = 2.0 * (ys[1] - ys[0])
     xc, yc = x0, y0
     for _ in range(80):
-        x_new = golden(lambda t: potential_at(model, t, yc), xc - wx, xc + wx)
-        y_new = golden(lambda t: potential_at(model, x_new, t), yc - wy, yc + wy)
+        x_new = golden(lambda t: potential_at(model, t, yc), max(xc - wx, x_lo), min(xc + wx, x_hi))
+        y_new = golden(lambda t: potential_at(model, x_new, t), max(yc - wy, y_lo), min(yc + wy, y_hi))
         moved = max(abs(x_new - xc), abs(y_new - yc))
         xc, yc = x_new, y_new
         wx = max(4.0 * moved, 1e-9)
         wy = wx
         if moved < 1e-11:
             break
-    return xc, yc, float(potential_at(model, xc, yc))
+    vc = float(potential_at(model, xc, yc))
+    # golden() stops within 1e-13 relative of an edge it is pushed against.  An
+    # edge counts only where the refinement went below the scanned minimum, so
+    # a constant potential keeps its (degenerate) minimum.
+    pinned = min(xc - x_lo, x_hi - xc) <= 1e-12 * lx or min(yc - y_lo, y_hi - yc) <= 1e-12 * ly
+    if pinned and vc < vmin:
+        raise Unbounded(float(xc), float(yc), vc)
+    return xc, yc, vc

@@ -18,7 +18,6 @@ instead of silently repairing either one.
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,12 +27,10 @@ from .errors import ChannelUnsupported, DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
 from .morse1d import (
     MorseChannel,
-    QuadratureSpec,
     _level_epsilon,
     channel_from_gammas,
     energy_1d,
     m_max,
-    normalize_1d,
     wavefunction_1d,
 )
 
@@ -330,28 +327,26 @@ def find_inversions(entries) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=128)
-def _prepared_axes(model: Model, energy: float, m: int, n: int, qtol: float):
-    """Normalized per-axis states for one spectrum entry (cached)."""
-    chx, chy = channels_at(model, energy)
-    sx = energy_1d(chx, m)
-    sy = energy_1d(chy, n)
-    quad = QuadratureSpec(tol=qtol)
-    normalize_1d(chx, sx, quad)
-    normalize_1d(chy, sy, quad)
-    return chx, sx, chy, sy
+def _prepared_axes(model: Model, entry: SpectrumEntry):
+    """Normalized per-axis channels and states for one spectrum entry."""
+    chx, chy = channels_at(model, entry.energy)
+    return chx, energy_1d(chx, entry.m), chy, energy_1d(chy, entry.n)
 
 
 def chi_mn(model: Model, entry: SpectrumEntry, x, y, quad_tol: float = 1e-8):
-    """Separable reduced eigenfunction X_m(x) Y_n(y), normalized per axis."""
-    chx, sx, chy, sy = _prepared_axes(model, entry.energy, entry.m, entry.n, quad_tol)
+    """Separable reduced eigenfunction X_m(x) Y_n(y), normalized per axis.
+
+    ``quad_tol`` has no effect: the per-axis norms are exact closed forms.
+    It is accepted so that existing callers keep working.
+    """
+    chx, sx, chy, sy = _prepared_axes(model, entry)
     out = (sx.norm * wavefunction_1d(chx, sx, x)) * (sy.norm * wavefunction_1d(chy, sy, y))
     return out if np.ndim(out) else float(out)
 
 
 def psi_mn(model: Model, entry: SpectrumEntry, x, y, quad_tol: float = 1e-8):
-    """Physical eigenfunction sqrt(M(x, y)) X_m(x) Y_n(y)."""
-    out = np.sqrt(mass_at(model.mass, x, y)) * chi_mn(model, entry, x, y, quad_tol)
+    """Physical eigenfunction sqrt(M(x, y)) X_m(x) Y_n(y); ``quad_tol`` has no effect."""
+    out = np.sqrt(mass_at(model.mass, x, y)) * chi_mn(model, entry, x, y)
     return out if np.ndim(out) else float(out)
 
 
@@ -362,7 +357,7 @@ def pde_residual(model: Model, entry: SpectrumEntry, grid: "oracle.Grid2D") -> f
     X'' = (eta e^{-ax} + nu e^{-2ax} - eps_m) X, so for a true root the
     residual is an algebraic identity up to rounding.
     """
-    chx, sx, chy, sy = _prepared_axes(model, entry.energy, entry.m, entry.n, 1e-8)
+    chx, sx, chy, sy = _prepared_axes(model, entry)
     xs = grid.x.nodes()
     ys = grid.y.nodes()
     X = sx.norm * wavefunction_1d(chx, sx, xs)

@@ -59,3 +59,24 @@ def draw_supported_channels(seed: int, count: int, mu_margin: float = 0.4, top_c
             continue
         out.append(ch)
     return out
+
+
+def quad_overlap(ch: MorseChannel, a, b, tail: float = 40.0) -> float:
+    """<a|b> of two normalized states of ``ch`` by adaptive scipy quadrature.
+
+    The states are scaled by their ``norm`` inside the integrand, because the
+    bare closed forms of deep channels overflow a double.  The domain is the
+    oracle's auto-sized grid plus ``tail`` outer-tail e-foldings of the slower
+    state, integrated as two pieces.
+    """
+    import scipy.integrate
+
+    from pdmorse import auto_grid_1d, wavefunction_1d
+
+    grid = auto_grid_1d(ch)
+    hi = grid.x1 + tail / (min(a.mu, b.mu) * ch.alpha)
+    f = lambda t: a.norm * wavefunction_1d(ch, a, t) * b.norm * wavefunction_1d(ch, b, t)
+    return sum(
+        scipy.integrate.quad(f, lo, up, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+        for lo, up in ((grid.x0, grid.x1), (grid.x1, hi))
+    )

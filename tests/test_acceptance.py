@@ -25,7 +25,6 @@ from pdmorse import (
     mass_derivatives,
     minimize_potential,
     mismatch,
-    normalize_1d,
     oracle_energy_2d,
     pde_residual,
     potential_at,
@@ -36,8 +35,8 @@ from pdmorse import (
 )
 from pdmorse.cli import main as cli_main
 from pdmorse.effective import grad_coefficient, laplacian_coefficient
-from pdmorse.morse1d import MorseChannel, _simpson, integration_domain, norm_constant
-from tests.conftest import draw_supported_channels
+from pdmorse.morse1d import MorseChannel
+from tests.conftest import draw_supported_channels, quad_overlap
 
 
 def report(criterion: int, detail: str) -> None:
@@ -132,30 +131,20 @@ def test_criterion_05_wavefunction_properties():
         sig = vals[np.abs(vals) > 1e-10 * np.max(np.abs(vals))]
         assert int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1]))) == m
 
-    # Orthogonality and quadrature convergence on the reference channel.
+    # Orthogonality and the exact norm against quadrature on the reference channel.
     ch = MorseChannel(eta=-2.0, nu=0.25, alpha=1.0)
     s0, s1 = energy_1d(ch, 0), energy_1d(ch, 1)
-    n0, n1 = normalize_1d(ch, s0), normalize_1d(ch, s1)
-    lo0, hi0 = integration_domain(ch, s0)
-    lo1, hi1 = integration_domain(ch, s1)
-    overlap = _simpson(
-        lambda t: (n0 * wavefunction_1d(ch, s0, t)) * (n1 * wavefunction_1d(ch, s1, t)),
-        min(lo0, lo1),
-        max(hi0, hi1),
-        1 << 14,
-    )
+    overlap = quad_overlap(ch, s0, s1)
     assert abs(overlap) < 1e-8
 
-    na = norm_constant(lambda t: wavefunction_1d(ch, s0, t), lo0, hi0)
-    nb = 1.0 / math.sqrt(_simpson(lambda t: wavefunction_1d(ch, s0, t) ** 2, lo0, hi0, 1 << 13))
-    nc = 1.0 / math.sqrt(_simpson(lambda t: wavefunction_1d(ch, s0, t) ** 2, lo0, hi0, 1 << 14))
-    assert abs(nc - nb) < 1e-8
+    nq = s0.norm / math.sqrt(quad_overlap(ch, s0, s0))
+    assert abs(nq - s0.norm) < 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(
         5,
         f"nodes == m for m <= 4, orthogonality {abs(overlap):.1e} < 1e-8, "
-        f"doubling moves N by {abs(nc - nb):.1e} < 1e-8 (N = {na:.9f}), {elapsed:.1f}s",
+        f"quadrature N differs from exact N by {abs(nq - s0.norm):.1e} < 1e-8 (N = {s0.norm:.9f}), {elapsed:.1f}s",
     )
 
 

@@ -11,7 +11,6 @@ from pdmorse.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     config_from_dict,
-    effective_config_dict,
     load_config,
     main,
 )
@@ -52,11 +51,11 @@ class TestConfig:
 
     def test_round_trip(self, tmp_path):
         cfg = config_from_dict({"max_q": 3, "variant": "paper-printed"})
-        dumped = effective_config_dict(cfg)
+        dumped = cfg.raw
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dumped))
         cfg2 = load_config(str(path))
-        assert effective_config_dict(cfg2) == dumped
+        assert cfg2.raw == dumped
         assert cfg2.model == cfg.model
         assert cfg2.variant == cfg.variant
 
@@ -144,6 +143,15 @@ class TestFieldsCommand:
         assert code == EXIT_CONFIG
         assert "no spectrum entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (2, 3), (3, 1), (3, 2)])
+    def test_only_invalid_roots_exits_config_error(self, tmp_path, capsys, m, n):
+        # The printed condition has roots here, but none is a bound level.
+        argv = ("--variant", "paper-printed", "--out", str(tmp_path), "fields", "--which", "psi")
+        assert run_main(*argv, "--m", str(m), "--n", str(n)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no valid spectrum entry for (m, n)=({m}, {n}); invalid paper-printed roots: E=")
+        assert not (tmp_path / "field.csv").exists()
+
     def test_ueff_field(self, tmp_path):
         assert run_main("--out", str(tmp_path), "fields", "--which", "ueff", "--energy", "0.0") == EXIT_OK
         rows = read_csv(tmp_path / "field.csv")
@@ -166,6 +174,28 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL reduction-identity" in out
         assert "first failing check: reduction-identity" in out
+
+    @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
+    def test_window_resolved_once(self, tmp_path, capsys, monkeypatch, variant):
+        import pdmorse.cli
+
+        calls = []
+        real = pdmorse.cli.energy_window
+        monkeypatch.setattr(pdmorse.cli, "energy_window", lambda model: calls.append(model) or real(model))
+        assert run_main("--variant", variant, "--out", str(tmp_path), "verify") == EXIT_OK
+        assert len(calls) == 1
+
+    def test_window_error_reported_by_each_check_that_needs_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": 0.0, "b2": 0.0, "b3": 0.0, "b4": 0.0, "g1": 0.0, "g3": 0.0}))
+        code = run_main("--config", str(path), "--variant", "paper-printed", "--out", str(tmp_path), "verify")
+        assert code == EXIT_INVARIANT
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [
+            "FAIL back-substitution", "FAIL pde-residual", "FAIL window-containment"
+        ]
+        assert len({line.split(": ", 1)[1] for line in failed}) == 1
+        assert "does not lie below the asymptote" in failed[0]
 
     def test_config_validation_precedes_checks(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -10,16 +11,13 @@ from pdmorse import (
     InvalidLevel,
     MorseChannel,
     NoBoundStates,
-    QuadratureSpec,
     channel_from_gammas,
     energy_1d,
     laguerre,
     m_max,
-    normalize_1d,
     wavefunction_1d,
 )
-from pdmorse.morse1d import _simpson, integration_domain, norm_constant
-from tests.conftest import draw_supported_channels
+from tests.conftest import draw_supported_channels, quad_overlap
 
 
 def laguerre_by_summation(n: int, a: float, z: float) -> float:
@@ -184,44 +182,47 @@ class TestNormalization:
         # N = 1/sqrt(2) for both levels.
         for m in (0, 1):
             s = energy_1d(paper_channel, m)
-            assert normalize_1d(paper_channel, s) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-            assert s.norm is not None
+            assert s.norm == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+            by_quadrature = s.norm / math.sqrt(quad_overlap(paper_channel, s, s))
+            assert by_quadrature == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_doubling_resolution_settles(self, paper_channel):
+        # Doubling the outer tail of the quadrature domain does not move N.
         s0 = energy_1d(paper_channel, 0)
-        a, b = integration_domain(paper_channel, s0)
-        f = lambda xs: wavefunction_1d(paper_channel, s0, xs)
-        n1 = 1.0 / math.sqrt(_simpson(lambda t: f(t) ** 2, a, b, 1 << 12))
-        n2 = 1.0 / math.sqrt(_simpson(lambda t: f(t) ** 2, a, b, 1 << 13))
+        n1 = s0.norm / math.sqrt(quad_overlap(paper_channel, s0, s0))
+        n2 = s0.norm / math.sqrt(quad_overlap(paper_channel, s0, s0, tail=80.0))
         assert abs(n2 - n1) < 1e-8
 
     def test_orthogonality_same_channel(self, paper_channel):
         s0 = energy_1d(paper_channel, 0)
         s1 = energy_1d(paper_channel, 1)
-        n0 = normalize_1d(paper_channel, s0)
-        n1 = normalize_1d(paper_channel, s1)
-        lo0, hi0 = integration_domain(paper_channel, s0)
-        lo1, hi1 = integration_domain(paper_channel, s1)
-        overlap = _simpson(
-            lambda t: (n0 * wavefunction_1d(paper_channel, s0, t))
-            * (n1 * wavefunction_1d(paper_channel, s1, t)),
-            min(lo0, lo1),
-            max(hi0, hi1),
-            1 << 14,
-        )
+        overlap = quad_overlap(paper_channel, s0, s1)
         assert abs(overlap) < 1e-8
 
-    def test_scaling_homogeneity(self, paper_channel):
-        s0 = energy_1d(paper_channel, 0)
-        a, b = integration_domain(paper_channel, s0)
-        n1 = norm_constant(lambda xs: wavefunction_1d(paper_channel, s0, xs), a, b)
-        n7 = norm_constant(lambda xs: 7.0 * wavefunction_1d(paper_channel, s0, xs), a, b)
-        assert n7 == pytest.approx(n1 / 7.0, rel=1e-12)
+    def test_near_threshold_norm(self):
+        # mu = 2.8e-4: the outer tail spans thousands of decay lengths.  The
+        # value was confirmed by a 30-digit integral in t = -ln z.
+        ch = MorseChannel(eta=-3.9352851560884305, nu=1.282898585896384, alpha=0.6948021598850062)
+        s = energy_1d(ch, 2)
+        assert s.mu < 1e-3
+        assert s.norm == pytest.approx(0.019769173883306757, rel=1e-13)
 
-    def test_unreachable_tolerance_raises(self, paper_channel):
-        from pdmorse import QuadratureNotConverged
+    @given(
+        eta=st.floats(-8.0, -0.3),
+        nu=st.floats(0.02, 1.5),
+        alpha=st.floats(0.3, 2.5),
+        m=st.integers(0, 6),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_norm_matches_quadrature(self, eta, nu, alpha, m):
+        ch = MorseChannel(eta=eta, nu=nu, alpha=alpha)
+        top = m_max(ch)
+        assume(top is not None)
+        s = energy_1d(ch, min(m, top))
+        assume(s.mu >= 0.05)
+        assert math.sqrt(quad_overlap(ch, s, s)) == pytest.approx(1.0, rel=1e-10)
 
-        s0 = energy_1d(paper_channel, 0)
-        strict = QuadratureSpec(tol=1e-30, initial_intervals=8, max_doublings=3)
-        with pytest.raises(QuadratureNotConverged):
-            normalize_1d(paper_channel, s0, strict)
+    def test_state_is_frozen(self, paper_channel):
+        s = energy_1d(paper_channel, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.norm = 1.0

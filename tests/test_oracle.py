@@ -214,3 +214,16 @@ class TestMinimizePotential:
         with pytest.raises(Unbounded) as exc:
             minimize_potential(model)
         assert exc.value.value < 1.0  # boundary value carried in the error
+
+    def test_refinement_stays_in_scan_box(self):
+        # The infimum is not attained inside the scan box; a refinement free to
+        # leave the box follows the potential down until exp() overflows.
+        model = Model(
+            hbar=1.0,
+            mass=MassParams(m0=0.599, g1=1.262, g2=0.0133, g3=0.516, g4=0.0861, a1=1.466, a2=1.062),
+            pot=PotentialParams(r=-0.241, a=0.742, b1=-0.612, b2=0.106, b3=-1.375, b4=0.122),
+            ordering=OrderingParams(-0.5, 0.0, -0.5),
+        )
+        with pytest.raises(Unbounded) as exc:
+            minimize_potential(model)
+        assert -0.75 * (12.0 / 1.062) <= exc.value.y and exc.value.x <= 3.0 * (12.0 / 1.466)
