@@ -54,7 +54,11 @@ class NoBracket(PdmorseError):
 
 
 class Unbounded(PdmorseError):
-    """The potential keeps decreasing at the scan boundary."""
+    """The potential keeps decreasing at the scan boundary.
+
+    An axis along which the scanned potential is exactly constant does not
+    count: a minimum pinned to the edge along it is degenerate, not unbounded.
+    """
 
     def __init__(self, x: float, y: float, value: float):
         self.x = x

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
 (tridiagonal bisection in 1D, Kronecker-sum assembly or shift-invert Lanczos
-in 2D), the potential minimum from a scan plus alternating golden-section
+in 2D, the shifted operator factored once under a symmetric minimum-degree
+ordering), the potential minimum from a scan plus alternating golden-section
 refinement, and the self-consistent 2D energies from outer bisection on the
-finite-difference level sums.
+finite-difference level sums.  Those sums minus the right-hand side decrease
+strictly in the trial energy, so a binary search over the scan nodes finds
+the one bracketing cell.
 """
 
 import heapq
@@ -190,11 +193,17 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
         + scipy.sparse.kron(ty, scipy.sparse.identity(nx_int))
         + scipy.sparse.diags(u.ravel())
     ).tocsc()
+    # sigma sits below the spectrum, so A - sigma I is symmetric positive
+    # definite and a symmetric minimum-degree ordering of A^T + A fills in
+    # less than the COLAMD column ordering eigsh would factor it with.
     sigma = float(u.min()) - 1.0
+    shifted = a - sigma * scipy.sparse.identity(a.shape[0], format="csc")
+    lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    op_inv = scipy.sparse.linalg.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
     v0 = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
     try:
         vals = scipy.sparse.linalg.eigsh(
-            a, k=k, sigma=sigma, which="LM", v0=v0, tol=0, return_eigenvectors=False
+            a, k=k, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=op_inv, return_eigenvectors=False
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NotConverged(f"shift-invert Lanczos did not converge: {exc}") from exc
@@ -211,31 +220,48 @@ def _channel_potentials(model: Model, e: float):
     return ux, uy
 
 
+def _level_defect(model: Model, m: int, n: int, grid: Grid2D, e: float) -> float:
+    """G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 on the grid's two 1D operators."""
+    ux, uy = _channel_potentials(model, e)
+    lam_m = float(fd_eigen_1d(ux, grid.x, m + 1).eigenvalues[m])
+    lam_n = float(fd_eigen_1d(uy, grid.y, n + 1).eigenvalues[n])
+    return lam_m + lam_n - epsilon_of(model, e)
+
+
 def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: float = 1e-8,
                      scan_points: int = 64) -> float:
     """Self-consistent level (m, n) from finite differences alone.
 
     Solves G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 = 0 where lam are the
     m-th and n-th Dirichlet eigenvalues of the per-axis reduced operators at
-    trial energy E.  G is strictly decreasing for this family (the potential
-    deepens with E while the right side grows), so a sign change brackets the
-    unique root; without one the routine refuses to guess.
+    trial energy E.  G is strictly decreasing: gamma_i(E) = b_i + m0 (r - E) g_i
+    with g_i >= 0, so each 1D potential is pointwise non-increasing in E and,
+    by Courant-Fischer, so is every Dirichlet eigenvalue, while
+    2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The
+    ``scan_points`` equispaced nodes over the window therefore hold at most
+    one sign change, which a binary search over the nodes finds with
+    2 + ceil(log2(scan_points - 1)) evaluations; bisection then polishes that
+    cell.  An exact zero at a node is returned as is; without a strict sign
+    change the routine refuses to guess.
     """
-
-    def g_of(e: float) -> float:
-        ux, uy = _channel_potentials(model, e)
-        lam_m = float(fd_eigen_1d(ux, grid.x, m + 1).eigenvalues[m])
-        lam_n = float(fd_eigen_1d(uy, grid.y, n + 1).eigenvalues[n])
-        return lam_m + lam_n - epsilon_of(model, e)
-
+    g_of = lambda e: _level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
-    vals = [g_of(float(e)) for e in es]
-    for i in range(scan_points - 1):
-        if vals[i] == 0.0:
-            return float(es[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return _bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], tol)
-    raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
+    lo, hi = 0, scan_points - 1
+    g_lo = g_of(float(es[lo]))
+    if g_lo == 0.0:
+        return float(es[lo])
+    if not g_lo * g_of(float(es[hi])) < 0.0:
+        raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = g_of(float(es[mid]))
+        if g_mid == 0.0:
+            return float(es[mid])
+        if g_mid * g_lo > 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, tol)
 
 
 def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
@@ -341,8 +367,14 @@ def minimize_potential(model: Model, scan_span: float = 12.0, scan_nodes: int = 
     vc = float(potential_at(model, xc, yc))
     # golden() stops within 1e-13 relative of an edge it is pushed against.  An
     # edge counts only where the refinement went below the scanned minimum, so
-    # a constant potential keeps its (degenerate) minimum.
-    pinned = min(xc - x_lo, x_hi - xc) <= 1e-12 * lx or min(yc - y_lo, y_hi - yc) <= 1e-12 * ly
+    # a constant potential keeps its (degenerate) minimum.  Along an axis on
+    # which the scanned potential is exactly constant, golden() drifts to an
+    # edge without lowering V; the minimum is degenerate along that axis.
+    flat_x = bool(np.all(v == v[:, :1]))
+    flat_y = bool(np.all(v == v[:1, :]))
+    pinned = (not flat_x and min(xc - x_lo, x_hi - xc) <= 1e-12 * lx) or (
+        not flat_y and min(yc - y_lo, y_hi - yc) <= 1e-12 * ly
+    )
     if pinned and vc < vmin:
         raise Unbounded(float(xc), float(yc), vc)
     return xc, yc, vc

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from pdmorse import MassParams, Model, MorseChannel, PotentialParams, solve_ambiguity_free_ordering
+from pdmorse import (
+    DegenerateWindow,
+    MassParams,
+    Model,
+    MorseChannel,
+    PotentialParams,
+    Unbounded,
+    energy_window,
+    solve_ambiguity_free_ordering,
+)
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +70,29 @@ def draw_supported_channels(seed: int, count: int, mu_margin: float = 0.4, top_c
             continue
         out.append(ch)
     return out
+
+
+@st.composite
+def supported_models(draw):
+    """A model around the reference set whose potential binds, with its window."""
+    u = lambda lo, hi: draw(st.floats(lo, hi))
+    model = Model(
+        hbar=u(0.7, 1.3),
+        mass=MassParams(
+            m0=u(0.5, 2.0), g1=u(0.0, 1.5), g2=u(0.0, 0.2), g3=u(0.0, 1.5), g4=u(0.0, 0.2),
+            a1=u(0.5, 1.5), a2=u(0.5, 1.5),
+        ),
+        pot=PotentialParams(
+            r=u(-0.5, 0.5), a=u(0.5, 1.5), b1=u(-1.5, -0.5), b2=u(0.05, 0.3), b3=u(-1.5, -0.5), b4=u(0.05, 0.3),
+        ),
+        ordering=solve_ambiguity_free_ordering(),
+    )
+    try:
+        window = energy_window(model)
+    except (DegenerateWindow, Unbounded):
+        # No window to draw energies from.
+        assume(False)
+    return model, window
 
 
 def quad_overlap(ch: MorseChannel, a, b, tail: float = 40.0) -> float:

@@ -109,6 +109,13 @@ class TestSpectrumCommand:
         rows = read_csv(tmp_path / "spectrum.csv")
         assert rows == []
 
+    def test_flat_axis_run(self, tmp_path):
+        # V is constant along x: a degenerate minimum, not an unbounded one.
+        path = tmp_path / "flat_x.json"
+        path.write_text(json.dumps({"g1": 0, "g2": 0, "b1": 0, "b2": 0, "b3": -1, "b4": 0.125}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_OK
+        assert read_csv(tmp_path / "spectrum.csv") == []
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         run_main("--out", str(tmp_path), "spectrum")
         first_csv = (tmp_path / "spectrum.csv").read_bytes()
@@ -246,6 +253,17 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "finite-difference energy (0,0)" in out
         assert "closed-form root" in out
+
+    @pytest.mark.parametrize(
+        "m, n, line",
+        [
+            ("0", "0", "finite-difference energy (0,0): -0.20201608282615152"),
+            ("2", "1", "finite-difference energy (2,1): 0.32509889984102669"),
+        ],
+    )
+    def test_default_config_energies_pinned(self, tmp_path, capsys, m, n, line):
+        assert run_main("--out", str(tmp_path), "oracle", "--m", m, "--n", n) == EXIT_OK
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_no_bracket_exits_numeric(self, tmp_path, capsys):
         from pdmorse.cli import EXIT_NUMERIC

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pdmorse import (
     EnergyWindow,
@@ -12,6 +13,7 @@ from pdmorse import (
     Unbounded,
     auto_grid_1d,
     energy_1d,
+    energy_window,
     fd_eigen_1d,
     fd_eigen_2d,
     m_max,
@@ -19,12 +21,34 @@ from pdmorse import (
     oracle_energy_2d,
     potential_at,
 )
+from pdmorse import oracle
 from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
-from tests.conftest import draw_supported_channels
+from tests.conftest import draw_supported_channels, supported_models
 
 
 def morse_potential(ch):
     return lambda x: ch.eta * np.exp(-ch.alpha * x) + ch.nu * np.exp(-2.0 * ch.alpha * x)
+
+
+def linear_scan_energy(model, m, n, window, grid, tol=1e-8, scan_points=64):
+    """oracle_energy_2d as a linear scan over every node: the search reference."""
+    g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
+    es = np.linspace(window.lo, window.hi, scan_points)
+    vals = [g_of(float(e)) for e in es]
+    for i in range(scan_points - 1):
+        if vals[i] == 0.0:
+            return float(es[i])
+        if vals[i] * vals[i + 1] < 0.0:
+            return oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], tol)
+    raise NoBracket("no sign change")
+
+
+def outcome(f, *args, **kwargs):
+    """A call's float.hex result, or the exception type it raised."""
+    try:
+        return float(f(*args, **kwargs)).hex()
+    except NoBracket:
+        return NoBracket
 
 
 class TestFdEigen1D:
@@ -133,6 +157,28 @@ class TestFdEigen2D:
         with pytest.raises(ValueError):
             fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 2, method="separable")
 
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_lanczos_matches_dense_nonseparable(self, k):
+        # The 5-point operator on 22 x 24 interior nodes with unequal
+        # spacings, assembled node by node and solved densely.
+        grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
+        u = lambda X, Y: X**2 + Y**2 + X * Y + np.sin(X - 2.0 * Y)
+        x, y = grid.x.interior(), grid.y.interior()
+        nx, ny = len(x), len(y)
+        cx, cy = 1.0 / grid.x.h**2, 1.0 / grid.y.h**2
+        a = np.zeros((nx * ny, nx * ny))
+        for j in range(ny):
+            for i in range(nx):
+                p = j * nx + i
+                a[p, p] = 2.0 * cx + 2.0 * cy + u(x[i], y[j])
+                for q, c, inside in ((p - 1, cx, i > 0), (p + 1, cx, i < nx - 1),
+                                     (p - nx, cy, j > 0), (p + nx, cy, j < ny - 1)):
+                    if inside:
+                        a[p, q] = -c
+        dense = np.linalg.eigvalsh(a)[:k]
+        lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
+        assert np.max(np.abs(lan - dense)) < 1e-10
+
     def test_lanczos_handles_nonseparable(self):
         # Coupled oscillator: normal modes with frequencies sqrt(1 +/- 1/2);
         # ground energy is their average-sum sqrt(3/2) + sqrt(1/2).
@@ -143,6 +189,8 @@ class TestFdEigen2D:
 
 
 class TestOracleEnergy2D:
+    SEARCH_GRID = Grid2D(Grid1D(-4.0, 12.0, 48), Grid1D(-4.0, 12.0, 48))
+
     def test_ground_level_against_closed_form(self, reference_model):
         window = EnergyWindow(-0.40692966918274637, 1.0)
         grid = Grid2D(Grid1D(-4.0, 12.0, 192), Grid1D(-4.0, 12.0, 192))
@@ -176,6 +224,61 @@ class TestOracleEnergy2D:
         grid = Grid2D(Grid1D(-4.0, 12.0, 64), Grid1D(-4.0, 12.0, 64))
         with pytest.raises(NoBracket):
             oracle_energy_2d(reference_model, 0, 0, window, grid)
+
+    @pytest.mark.parametrize("scan_points", [17, 64, 100])
+    @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
+    def test_node_search_matches_linear_scan(self, request, fixture, scan_points):
+        # Bitwise: the search must land in the linear scan's cell, after which
+        # bisection repeats the same evaluations.
+        model = request.getfixturevalue(fixture)
+        window = energy_window(model)
+        for m, n in ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (4, 4)):
+            args = (model, m, n, window, self.SEARCH_GRID)
+            want = outcome(linear_scan_energy, *args, scan_points=scan_points)
+            assert outcome(oracle_energy_2d, *args, scan_points=scan_points) == want, (m, n)
+
+    @pytest.mark.parametrize(
+        "root, want", [(0.0, 0.0), (0.25, 0.25), (0.3, None), (1.0, NoBracket), (-0.5, NoBracket), (1.5, NoBracket)]
+    )
+    def test_node_zeros_and_missing_brackets(self, reference_model, monkeypatch, root, want):
+        # G = root - E on the nodes k/16 of [0, 1]: an exact zero at a node is
+        # returned as that node; a zero only at the last node is no bracket.
+        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: root - e)
+        args = (reference_model, 0, 0, EnergyWindow(0.0, 1.0), self.SEARCH_GRID)
+        got = outcome(oracle_energy_2d, *args, scan_points=17)
+        assert got == outcome(linear_scan_energy, *args, scan_points=17)
+        if want is not None:
+            assert got == (want if want is NoBracket else want.hex())
+
+    @pytest.mark.parametrize("scan_points", [17, 64, 100])
+    def test_scan_stage_is_logarithmic(self, reference_model, monkeypatch, scan_points):
+        solves, before_bisect = [], []
+        real_eigen, real_bisect = oracle.fd_eigen_1d, oracle._bisect
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real_eigen(*args, **kwargs)
+
+        def bisect(*args, **kwargs):
+            before_bisect.append(len(solves))
+            return real_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "fd_eigen_1d", counted)
+        monkeypatch.setattr(oracle, "_bisect", bisect)
+        window = energy_window(reference_model)
+        oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID, scan_points=scan_points)
+        # Each G(E) costs two 1D eigensolves.
+        assert before_bisect and before_bisect[0] <= 2 * (2 + math.ceil(math.log2(scan_points - 1)))
+
+    @given(drawn=supported_models())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_defect_strictly_decreasing(self, drawn):
+        # The premise of the node search: at most one sign change over the nodes.
+        model, window = drawn
+        es = np.linspace(window.lo, window.hi, 64)
+        for m, n in ((0, 0), (2, 1)):
+            g = [oracle._level_defect(model, m, n, self.SEARCH_GRID, float(e)) for e in es]
+            assert np.all(np.diff(g) < 0.0)
 
 
 class TestMinimizePotential:
@@ -214,6 +317,21 @@ class TestMinimizePotential:
         with pytest.raises(Unbounded) as exc:
             minimize_potential(model)
         assert exc.value.value < 1.0  # boundary value carried in the error
+
+    @pytest.mark.parametrize("flat_axis", ["x", "y"])
+    def test_flat_axis_is_degenerate_not_unbounded(self, flat_axis):
+        # V is constant along one axis, so its minimum lies on a whole line;
+        # along the other axis (1 - q + q^2/8)/(1 + q) has minimum (sqrt(17) - 5)/4.
+        well = dict(g=1.0, b=-1.0, b_sq=0.125)
+        flat = dict(g=0.0, b=0.0, b_sq=0.0)
+        wx, wy = (flat, well) if flat_axis == "x" else (well, flat)
+        model = Model(
+            hbar=1.0,
+            mass=MassParams(m0=1.0, g1=wx["g"], g2=0.0, g3=wy["g"], g4=0.0, a1=1.0, a2=1.0),
+            pot=PotentialParams(r=0.0, a=1.0, b1=wx["b"], b2=wx["b_sq"], b3=wy["b"], b4=wy["b_sq"]),
+            ordering=OrderingParams(-0.5, 0.0, -0.5),
+        )
+        assert abs(energy_window(model).lo - (math.sqrt(17.0) - 5.0) / 4.0) < 1e-12
 
     def test_refinement_stays_in_scan_box(self):
         # The infimum is not attained inside the scan box; a refinement free to

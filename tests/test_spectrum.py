@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmorse import (
@@ -34,7 +34,6 @@ from pdmorse import (
     psi_mn,
     solve_ambiguity_free_ordering,
 )
-from pdmorse.errors import Unbounded
 from pdmorse.spectrum import (
     SpectrumEntry,
     ValidityFlags,
@@ -43,6 +42,7 @@ from pdmorse.spectrum import (
     is_xy_symmetric,
     validity_at,
 )
+from tests.conftest import supported_models
 
 
 def quadratic_roots_fp(m: int, n: int):
@@ -110,29 +110,6 @@ class TestMismatch:
         diffs = [abs(f(e0 + d) - f(e0)) for d in deltas]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-5
-
-
-@st.composite
-def supported_models(draw):
-    """A model around the reference set whose potential binds, with its window."""
-    u = lambda lo, hi: draw(st.floats(lo, hi))
-    model = Model(
-        hbar=u(0.7, 1.3),
-        mass=MassParams(
-            m0=u(0.5, 2.0), g1=u(0.0, 1.5), g2=u(0.0, 0.2), g3=u(0.0, 1.5), g4=u(0.0, 0.2),
-            a1=u(0.5, 1.5), a2=u(0.5, 1.5),
-        ),
-        pot=PotentialParams(
-            r=u(-0.5, 0.5), a=u(0.5, 1.5), b1=u(-1.5, -0.5), b2=u(0.05, 0.3), b3=u(-1.5, -0.5), b4=u(0.05, 0.3),
-        ),
-        ordering=solve_ambiguity_free_ordering(),
-    )
-    try:
-        window = energy_window(model)
-    except (DegenerateWindow, Unbounded):
-        # No window to draw energies from.
-        assume(False)
-    return model, window
 
 
 class TestDefectArrayPath:
