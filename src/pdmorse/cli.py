@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import oracle, spectrum
-from .effective import is_reduction_ordering, ueff_at
+from .effective import channels_at, is_reduction_ordering, ueff_at, veff_at, xi_of
 from .errors import (
     ChannelUnsupported,
     ConfigError,
@@ -40,7 +40,6 @@ from .morse1d import energy_1d, m_max, wavefunction_1d
 from .spectrum import (
     EnergyWindow,
     Variant,
-    channels_at,
     chi_mn,
     compare_table,
     energy_window,
@@ -351,23 +350,13 @@ def _verify_checks(cfg: RunConfig):
             raise OrderingNotSolvable(
                 f"configured ordering {model.ordering} leaves mass-gradient terms"
             )
-        from .effective import grad_coefficient, laplacian_coefficient, xi_of
-        from .model import mass_derivatives
-
         xs = np.linspace(-2.0, 6.0, 41)
         X, Y = np.meshgrid(xs, xs)
+        M = mass_at(model.mass, X, Y)
+        veff = veff_at(model, X, Y)
         worst = 0.0
         for e in np.linspace(-0.4, 1.0, 5):
-            M, mx, my, mxx, myy = mass_derivatives(model.mass, X, Y)
-            grad2 = (mx / M) ** 2 + (my / M) ** 2
-            bracket = 2.0 * grad_coefficient(model.ordering) * grad2 - laplacian_coefficient(
-                model.ordering
-            ) * (mxx + myy) / M
-            general = (
-                M * (potential_at(model, X, Y) - e)
-                + (model.hbar**2 / 4.0) * bracket
-                + xi_of(model, float(e))
-            )
+            general = M * (veff - e) + xi_of(model, float(e))
             reduced = ueff_at(model, float(e), X, Y)
             worst = max(worst, float(np.max(np.abs(general - reduced))))
         assert worst < 1e-10, f"reduction identity defect {worst:.3e}"
@@ -381,7 +370,7 @@ def _verify_checks(cfg: RunConfig):
                 continue
             top = m_max(ch)
             grid = oracle.auto_grid_1d(ch, n=4000)
-            fd = oracle.fd_eigen_1d(lambda t, c=ch: c.eta * np.exp(-c.alpha * t) + c.nu * np.exp(-2 * c.alpha * t), grid, top + 1)
+            fd = oracle.fd_eigen_1d(ch.potential, grid, top + 1)
             for mm in range(top + 1):
                 exact = energy_1d(ch, mm).epsilon
                 rel = abs(fd.eigenvalues[mm] - exact) / abs(exact)

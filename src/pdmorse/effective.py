@@ -5,7 +5,8 @@ into a constant-mass one whose potential picks up two mass-gradient terms
 weighted by the ordering combinations (alpha+gamma+alpha*gamma+3/4) and
 (alpha+gamma+1).  For the unique ordering that zeroes both, the reduced
 potential collapses to four exponentials with energy-dependent weights
-``gamma1``..``gamma4``, which is what makes the model exactly solvable.
+``gamma1``..``gamma4``, which is what makes the model exactly solvable:
+``channels_at`` splits it into one Morse channel per axis.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingNotSolvable
-from .model import MassParams, Model, OrderingParams, _exponentials, mass_derivatives, potential_at
+from .model import Model, OrderingParams, _exponentials, mass_derivatives, potential_at
+from .morse1d import MorseChannel, channel_from_gammas
 
 #: Both coefficient combinations must vanish to within this for the reduction.
 REDUCTION_TOL = 1e-12
@@ -47,20 +49,6 @@ def is_reduction_ordering(ordering: OrderingParams, tol: float = REDUCTION_TOL) 
     return abs(grad_coefficient(ordering)) <= tol and abs(laplacian_coefficient(ordering)) <= tol
 
 
-def von_roos_U(ordering: OrderingParams, mass: MassParams, x, y, hbar: float):
-    """Ordering-dependent kinetic effective potential U(x, y).
-
-    U = -(hbar^2 / 4M) [ (alpha+gamma) lap(M)/M
-                         - 2 (alpha+gamma+alpha*gamma) |grad M / M|^2 ].
-    """
-    m, mx, my, mxx, myy = mass_derivatives(mass, x, y)
-    c_lap = ordering.alpha + ordering.gamma
-    c_grad = ordering.alpha + ordering.gamma + ordering.alpha * ordering.gamma
-    grad2 = (mx / m) ** 2 + (my / m) ** 2
-    u = -(hbar * hbar) / (4.0 * m) * (c_lap * (mxx + myy) / m - 2.0 * c_grad * grad2)
-    return u if np.ndim(u) else float(u)
-
-
 def veff_at(model: Model, x, y):
     """Effective potential seen by the rescaled wavefunction.
 
@@ -92,6 +80,14 @@ def gammas_at(model: Model, e_trial: float) -> GammaSet:
         e_trial=e_trial,
         shift=shift,
     )
+
+
+def channels_at(model: Model, e: float) -> tuple[MorseChannel, MorseChannel]:
+    """Per-axis channels built from the reduced weights at trial energy e."""
+    g = gammas_at(model, e)
+    chx = channel_from_gammas(g.gamma1, g.gamma2, model.mass.a1, model.hbar)
+    chy = channel_from_gammas(g.gamma3, g.gamma4, model.mass.a2, model.hbar)
+    return chx, chy
 
 
 def xi_of(model: Model, e: float) -> float:

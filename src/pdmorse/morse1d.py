@@ -45,6 +45,10 @@ class MorseChannel:
     def z_scale(self) -> float:
         return 2.0 * math.sqrt(self.nu) / self.alpha
 
+    def potential(self, x):
+        """The channel's potential eta e^{-ax} + nu e^{-2ax}, elementwise."""
+        return self.eta * np.exp(-self.alpha * x) + self.nu * np.exp(-2.0 * self.alpha * x)
+
 
 @dataclass(frozen=True)
 class Bound1D:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import epsilon_of, gammas_at
+from .effective import channels_at, epsilon_of
 from .errors import EvaluationOverflow, GridTooSmall, NoBracket, NotConverged, Unbounded
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
@@ -56,16 +56,13 @@ class Grid2D:
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues (and optional node-value eigenvectors)."""
+    """Ascending eigenvalues; the flag marks a 1D wall potential below the top level."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    grid: Grid1D | Grid2D
-    h: tuple[float, ...]
     endpoint_below_level: bool = False
 
 
-def fd_eigen_1d(potential, grid: Grid1D, k: int, vectors: bool = False) -> EigenResult:
+def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     """Lowest k Dirichlet eigenvalues of -d2/dx2 + U(x) on the grid.
 
     Three-point Laplacian on the interior nodes; the symmetric tridiagonal
@@ -88,24 +85,11 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int, vectors: bool = False) -> Eigen
     diag = 2.0 / h2 + u
     off = np.full(n_int - 1, -1.0 / h2)
     try:
-        if vectors:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-        else:
-            vals = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
-            )
-            vecs = None
+        vals = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
     ends = np.atleast_1d(np.asarray(potential(np.array([grid.x0, grid.x1])), dtype=float))
-    edge = float(np.min(ends))
-    return EigenResult(
-        eigenvalues=np.asarray(vals, dtype=float),
-        eigenvectors=None if vecs is None else vecs.T,
-        grid=grid,
-        h=(grid.h,),
-        endpoint_below_level=edge < float(vals[-1]),
-    )
+    return EigenResult(np.asarray(vals, dtype=float), endpoint_below_level=float(np.min(ends)) < float(vals[-1]))
 
 
 def _lowest_sums(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -168,7 +152,7 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
             ex = fd_eigen_1d(ux, grid.x, kx).eigenvalues
             ey = fd_eigen_1d(uy, grid.y, ky).eigenvalues
             vals = _lowest_sums(ex, ey, k)
-            return EigenResult(vals, None, grid, (grid.x.h, grid.y.h))
+            return EigenResult(vals)
 
     import scipy.sparse
     import scipy.sparse.linalg
@@ -207,24 +191,14 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NotConverged(f"shift-invert Lanczos did not converge: {exc}") from exc
-    return EigenResult(np.sort(np.asarray(vals, dtype=float)), None, grid, (grid.x.h, grid.y.h))
-
-
-def _channel_potentials(model: Model, e: float):
-    """Per-axis reduced 1D potentials (2/hbar^2) (gamma e^{-ax} + gamma' e^{-2ax})."""
-    g = gammas_at(model, e)
-    h2 = model.hbar * model.hbar
-    a1, a2 = model.mass.a1, model.mass.a2
-    ux = lambda xs: (2.0 / h2) * (g.gamma1 * np.exp(-a1 * xs) + g.gamma2 * np.exp(-2.0 * a1 * xs))
-    uy = lambda ys: (2.0 / h2) * (g.gamma3 * np.exp(-a2 * ys) + g.gamma4 * np.exp(-2.0 * a2 * ys))
-    return ux, uy
+    return EigenResult(np.sort(np.asarray(vals, dtype=float)))
 
 
 def _level_defect(model: Model, m: int, n: int, grid: Grid2D, e: float) -> float:
     """G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 on the grid's two 1D operators."""
-    ux, uy = _channel_potentials(model, e)
-    lam_m = float(fd_eigen_1d(ux, grid.x, m + 1).eigenvalues[m])
-    lam_n = float(fd_eigen_1d(uy, grid.y, n + 1).eigenvalues[n])
+    chx, chy = channels_at(model, e)
+    lam_m = float(fd_eigen_1d(chx.potential, grid.x, m + 1).eigenvalues[m])
+    lam_n = float(fd_eigen_1d(chy.potential, grid.y, n + 1).eigenvalues[n])
     return lam_m + lam_n - epsilon_of(model, e)
 
 
@@ -240,9 +214,9 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
     2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The
     ``scan_points`` equispaced nodes over the window therefore hold at most
     one sign change, which a binary search over the nodes finds with
-    2 + ceil(log2(scan_points - 1)) evaluations; bisection then polishes that
-    cell.  An exact zero at a node is returned as is; without a strict sign
-    change the routine refuses to guess.
+    2 + ceil(log2(scan_points - 1)) evaluations; bisection then narrows that
+    cell to width tol and returns its midpoint.  An exact zero at a node is
+    returned as is; without a strict sign change the routine refuses to guess.
     """
     g_of = lambda e: _level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
@@ -250,7 +224,8 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
     g_lo = g_of(float(es[lo]))
     if g_lo == 0.0:
         return float(es[lo])
-    if not g_lo * g_of(float(es[hi])) < 0.0:
+    g_hi = g_of(float(es[hi]))
+    if not g_lo * g_hi < 0.0:
         raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -260,28 +235,31 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
         if g_mid * g_lo > 0.0:
             lo, g_lo = mid, g_mid
         else:
-            hi = mid
-    return _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, tol)
+            hi, g_hi = mid, g_mid
+    e_lo, e_hi, _, _ = _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, g_hi, tol)
+    return 0.5 * (e_lo + e_hi)
 
 
-def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Bisection of a bracket [lo, hi] with f(lo) = flo of opposite sign to f(hi).
+def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
+    """Bisection of a bracket [lo, hi] whose ends flo = f(lo), fhi = f(hi) differ in sign.
 
-    Stops at width tol, but never below a few float spacings of the bracket,
-    so tol = 0 terminates too.  Where f is NaN (undefined) the midpoint
-    replaces hi, keeping the defined lower side.
+    Returns the final bracket and its end values (lo, hi, flo, fhi).  Stops at
+    width tol, but never below a few float spacings of the bracket, so tol = 0
+    terminates too; an exact zero at a midpoint returns (mid, mid, 0, 0).
+    Where f is NaN (undefined) the midpoint replaces hi, keeping the defined
+    lower side, and fhi is then NaN.
     """
     width_floor = max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
     while hi - lo > width_floor:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
-            return mid
+            return mid, mid, fm, fm
         if flo * fm < 0.0 or math.isnan(fm):
-            hi = mid
+            hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return lo, hi, flo, fhi
 
 
 def auto_grid_1d(ch: MorseChannel, n: int = 4000) -> Grid1D:

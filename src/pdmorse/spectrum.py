@@ -22,17 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .effective import epsilon_of, gammas_at, ueff_at
+from .effective import channels_at, epsilon_of, gammas_at, ueff_at
 from .errors import ChannelUnsupported, DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
-from .morse1d import (
-    MorseChannel,
-    _level_epsilon,
-    channel_from_gammas,
-    energy_1d,
-    m_max,
-    wavefunction_1d,
-)
+from .morse1d import _level_epsilon, energy_1d, m_max, wavefunction_1d
 
 
 class Variant(enum.Enum):
@@ -114,14 +107,6 @@ REFERENCE_LEVELS: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def channels_at(model: Model, e: float) -> tuple[MorseChannel, MorseChannel]:
-    """Per-axis channels built from the reduced weights at trial energy e."""
-    g = gammas_at(model, e)
-    chx = channel_from_gammas(g.gamma1, g.gamma2, model.mass.a1, model.hbar)
-    chy = channel_from_gammas(g.gamma3, g.gamma4, model.mass.a2, model.hbar)
-    return chx, chy
-
-
 def _defect(model: Model, variant: Variant, m: int, n: int, e):
     """F(E) elementwise over trial energies e, NaN where F is undefined.
 
@@ -188,9 +173,13 @@ def find_roots(
     """All bracketable roots of the mismatch inside the window, sorted by E.
 
     Uniform sign scan of the whole grid at once (NaN marks where the
-    condition is undefined and never brackets), bisection polish of every
-    bracket to |dE| < tol.  Tangential (even-multiplicity) roots do not
-    produce a sign change and are therefore not reported.
+    condition is undefined and never brackets), bisection of every bracket
+    to width tol, then one regula-falsi step inside the final bracket from
+    its two known end values.  That step costs no evaluation of F and takes
+    |F| from ~tol |F'| down to rounding, which matters because
+    :func:`pde_residual` divides by eps, and eps -> 0 as a level nears the
+    asymptote.  Tangential (even-multiplicity) roots do not produce a sign
+    change and are therefore not reported.
     """
     if scan_points < 100:
         raise ValueError(f"need scan_points >= 100, got {scan_points}")
@@ -199,7 +188,12 @@ def find_roots(
     f = lambda e: float(_defect(model, variant, m, n, e))
     roots = [float(e) for e in es[vals == 0.0]]
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        roots.append(oracle._bisect(f, float(es[i]), float(es[i + 1]), float(vals[i]), tol))
+        a, b = float(es[i]), float(es[i + 1])
+        lo, hi, flo, fhi = oracle._bisect(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
+        if lo == hi or math.isnan(fhi):
+            roots.append(0.5 * (lo + hi))
+        else:
+            roots.append(lo + (hi - lo) * flo / (flo - fhi))
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -362,10 +356,8 @@ def pde_residual(model: Model, entry: SpectrumEntry, grid: "oracle.Grid2D") -> f
     ys = grid.y.nodes()
     X = sx.norm * wavefunction_1d(chx, sx, xs)
     Y = sy.norm * wavefunction_1d(chy, sy, ys)
-    ux = chx.eta * np.exp(-chx.alpha * xs) + chx.nu * np.exp(-2.0 * chx.alpha * xs)
-    uy = chy.eta * np.exp(-chy.alpha * ys) + chy.nu * np.exp(-2.0 * chy.alpha * ys)
-    Xpp = (ux - sx.epsilon) * X
-    Ypp = (uy - sy.epsilon) * Y
+    Xpp = (chx.potential(xs) - sx.epsilon) * X
+    Ypp = (chy.potential(ys) - sy.epsilon) * Y
 
     chi = np.outer(Y, X)
     lap = np.outer(Y, Xpp) + np.outer(Ypp, X)

@@ -13,7 +13,6 @@ from pdmorse import (
     potential_at,
     ueff_at,
     veff_at,
-    von_roos_U,
     xi_of,
 )
 from pdmorse.effective import grad_coefficient, laplacian_coefficient
@@ -26,47 +25,6 @@ def with_ordering(model: Model, alpha: float, beta: float, gamma: float) -> Mode
         pot=model.pot,
         ordering=OrderingParams(alpha, beta, gamma),
     )
-
-
-def assemble_von_roos(ordering, mass, x, y, hbar):
-    """Second implementation path for the kinetic effective potential."""
-    M, mx, my, mxx, myy = mass_derivatives(mass, x, y)
-    term_lap = (ordering.alpha + ordering.gamma) * (mxx + myy) / M
-    term_grad = (
-        2.0
-        * (ordering.alpha + ordering.gamma + ordering.alpha * ordering.gamma)
-        * ((mx / M) ** 2 + (my / M) ** 2)
-    )
-    return -(hbar**2) / (4.0 * M) * (term_lap - term_grad)
-
-
-class TestVonRoosU:
-    def test_constant_mass_vanishes(self):
-        mass = MassParams(m0=1.0, g1=0, g2=0, g3=0, g4=0, a1=1, a2=1)
-        for ordering in (OrderingParams(-0.5, 0, -0.5), OrderingParams(0, -1, 0)):
-            assert von_roos_U(ordering, mass, 0.3, -0.2, 1.0) == 0.0
-
-    def test_vanishes_when_both_combinations_zero(self, reference_model):
-        # alpha+gamma = 0 and alpha*gamma = 0: the (0, -1, 0) ordering.
-        ordering = OrderingParams(0.0, -1.0, 0.0)
-        xs = np.linspace(-1, 4, 7)
-        for x in xs:
-            assert von_roos_U(ordering, reference_model.mass, x, 2 * x, 1.0) == 0.0
-
-    def test_dual_path_agreement(self, reference_model):
-        ordering = OrderingParams(-0.5, 0.0, -0.5)
-        got = von_roos_U(ordering, reference_model.mass, 0.0, 0.0, 1.0)
-        want = assemble_von_roos(ordering, reference_model.mass, 0.0, 0.0, 1.0)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_dual_path_agreement_random_points(self, reference_model):
-        rng = np.random.default_rng(3)
-        ordering = OrderingParams(0.2, -1.6, 0.4)
-        for _ in range(25):
-            x, y = rng.uniform(-1.5, 5.0, size=2)
-            got = von_roos_U(ordering, reference_model.mass, x, y, 0.7)
-            want = assemble_von_roos(ordering, reference_model.mass, x, y, 0.7)
-            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestVeff:

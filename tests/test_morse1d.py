@@ -46,6 +46,19 @@ class TestChannelFromGammas:
         assert (ch.eta, ch.nu) == (-0.5, 0.0625)
 
 
+class TestChannelPotential:
+    def test_well_bottom(self, paper_channel):
+        # eta e^{-x} + nu e^{-2x} with eta = -2, nu = 1/4 bottoms out at
+        # e^{-x} = 4 with depth eta^2 / (4 nu) = 4.
+        assert paper_channel.potential(-math.log(4.0)) == pytest.approx(-4.0, rel=1e-15)
+        assert paper_channel.potential(0.0) == -1.75
+
+    def test_elementwise(self, paper_channel):
+        x = np.linspace(-3.0, 9.0, 13)
+        want = [paper_channel.eta * math.exp(-t) + paper_channel.nu * math.exp(-2.0 * t) for t in x]
+        np.testing.assert_allclose(paper_channel.potential(x), want, rtol=1e-15)
+
+
 class TestLevelCount:
     def test_reference_channel_holds_two_levels(self, paper_channel):
         # m=1: 2 > 1.5 holds; m=2: 2 > 2.5 fails.

@@ -26,10 +26,6 @@ from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
 from tests.conftest import draw_supported_channels, supported_models
 
 
-def morse_potential(ch):
-    return lambda x: ch.eta * np.exp(-ch.alpha * x) + ch.nu * np.exp(-2.0 * ch.alpha * x)
-
-
 def linear_scan_energy(model, m, n, window, grid, tol=1e-8, scan_points=64):
     """oracle_energy_2d as a linear scan over every node: the search reference."""
     g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
@@ -39,7 +35,8 @@ def linear_scan_energy(model, m, n, window, grid, tol=1e-8, scan_points=64):
         if vals[i] == 0.0:
             return float(es[i])
         if vals[i] * vals[i + 1] < 0.0:
-            return oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], tol)
+            lo, hi, _, _ = oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], tol)
+            return 0.5 * (lo + hi)
     raise NoBracket("no sign change")
 
 
@@ -69,12 +66,12 @@ class TestFdEigen1D:
         # [-12, 40] domain is wastefully wide (h grows 2.4x) and lands at
         # 1.18e-4 relative on the top level, so it gets the honest bound.
         exact = [-2.25, -0.25]
-        r = fd_eigen_1d(morse_potential(paper_channel), auto_grid_1d(paper_channel, 4000), 3)
+        r = fd_eigen_1d(paper_channel.potential, auto_grid_1d(paper_channel, 4000), 3)
         for lam, eps in zip(r.eigenvalues[:2], exact):
             assert abs(lam - eps) / abs(eps) < 1e-4
         assert int(np.sum(r.eigenvalues < 0)) == 2
 
-        wide = fd_eigen_1d(morse_potential(paper_channel), Grid1D(-12.0, 40.0, 4000), 3)
+        wide = fd_eigen_1d(paper_channel.potential, Grid1D(-12.0, 40.0, 4000), 3)
         for lam, eps in zip(wide.eigenvalues[:2], exact):
             assert abs(lam - eps) / abs(eps) < 2e-4
         assert int(np.sum(wide.eigenvalues < 0)) == 2
@@ -98,10 +95,6 @@ class TestFdEigen1D:
         ratio = np.abs(r1.eigenvalues - e_exact) / np.abs(r2.eigenvalues - e_exact)
         assert np.all(ratio > 3.2) and np.all(ratio < 4.8)
 
-    def test_eigenvectors_on_request(self):
-        r = fd_eigen_1d(lambda x: np.zeros_like(x), Grid1D(0.0, math.pi, 200), 2, vectors=True)
-        assert r.eigenvectors is not None and r.eigenvectors.shape == (2, 198)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 100)
@@ -119,7 +112,7 @@ class TestRandomizedOracleEquivalence:
         assert len(channels) >= 10
         for ch in channels:
             top = m_max(ch)
-            r = fd_eigen_1d(morse_potential(ch), auto_grid_1d(ch, 4000), top + 2)
+            r = fd_eigen_1d(ch.potential, auto_grid_1d(ch, 4000), top + 2)
             assert int(np.sum(r.eigenvalues < 0)) == top + 1
             for m in range(top + 1):
                 eps = energy_1d(ch, m).epsilon
@@ -198,6 +191,23 @@ class TestOracleEnergy2D:
         e_closed = (math.sqrt(29.0) - 7.0) / 8.0
         assert abs(e - e_closed) < 1e-3
 
+    def test_readme_grid_errors(self, reference_model):
+        # README: on 192^2 over [-4, 12] the oracle misses the six distinct
+        # first-principles levels by these amounts (three significant figures).
+        window = energy_window(reference_model)
+        grid = Grid2D(Grid1D(-4.0, 12.0, 192), Grid1D(-4.0, 12.0, 192))
+        stated = {
+            (0, 0, (math.sqrt(29.0) - 7.0) / 8.0): 1.28e-4,
+            (0, 1, (math.sqrt(21.0) - 5.0) / 8.0): 2.00e-4,
+            (1, 1, (math.sqrt(21.0) - 3.0) / 8.0): 6.42e-4,
+            (1, 2, (math.sqrt(13.0) - 1.0) / 8.0): 4.88e-5,
+            (2, 2, (math.sqrt(13.0) + 1.0) / 8.0): 1.60e-3,
+            (3, 3, (5.0 + math.sqrt(5.0)) / 8.0): 2.05e-3,
+        }
+        for (m, n, exact), err in stated.items():
+            got = abs(oracle_energy_2d(reference_model, m, n, window, grid) - exact)
+            assert got == pytest.approx(err, rel=5e-3), (m, n)
+
     def test_zero_tolerance_terminates(self, reference_model, monkeypatch):
         from pdmorse import oracle
 
@@ -269,6 +279,23 @@ class TestOracleEnergy2D:
         oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID, scan_points=scan_points)
         # Each G(E) costs two 1D eigensolves.
         assert before_bisect and before_bisect[0] <= 2 * (2 + math.ceil(math.log2(scan_points - 1)))
+
+    def test_bisect_returns_final_bracket(self):
+        f = lambda x: x - 0.3
+        lo, hi, flo, fhi = oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
+        assert lo < 0.3 < hi and hi - lo <= 1e-6
+        assert (flo, fhi) == (f(lo), f(hi))
+        # The first midpoint is an exact zero.
+        f = lambda x: x - 0.5
+        assert oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
+
+    def test_bisect_keeps_defined_side(self):
+        # Undefined on [0.6, 1): the bracket closes on the edge of the defined
+        # side, and its upper value is NaN.
+        f = lambda x: x - 0.8 if x < 0.6 or x == 1.0 else math.nan
+        lo, hi, flo, fhi = oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-9)
+        assert lo < 0.6 <= hi and hi - lo <= 1e-9
+        assert flo == f(lo) and math.isnan(fhi)
 
     @given(drawn=supported_models())
     @settings(max_examples=15, deadline=None, derandomize=True)

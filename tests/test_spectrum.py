@@ -18,6 +18,7 @@ from pdmorse import (
     PotentialParams,
     REFERENCE_LEVELS,
     Variant,
+    channels_at,
     chi_mn,
     compare_table,
     energy_1d,
@@ -38,7 +39,6 @@ from pdmorse.spectrum import (
     SpectrumEntry,
     ValidityFlags,
     _defect,
-    channels_at,
     is_xy_symmetric,
     validity_at,
 )
@@ -420,6 +420,70 @@ class TestPdeResidual:
             energy_window(model)
         w = EnergyWindow(-1.0, 1.0)  # even with a forced window: no roots
         assert find_roots(model, Variant.FIRST_PRINCIPLES, 0, 0, w) == []
+
+
+def _near_asymptote_model(g1, g2, g3, g4, a1, a2, b1, b2, b3, b4) -> Model:
+    return Model(
+        hbar=1.0,
+        mass=MassParams(m0=1.0, g1=g1, g2=g2, g3=g3, g4=g4, a1=a1, a2=a2),
+        pot=PotentialParams(r=0.0, a=1.0, b1=b1, b2=b2, b3=b3, b4=b4),
+        ordering=solve_ambiguity_free_ordering(),
+    )
+
+
+#: Asymmetric models with a level within 1e-3 of the asymptote E = 1, where
+#: eps -> 0 and pde_residual's division by |eps| amplifies any |F| left by the
+#: root polish: (3,3) at E = 0.99942 and (4,3) at E = 0.99904.
+NEAR_ASYMPTOTE_MODELS = {
+    "3-3-at-0.99942": _near_asymptote_model(
+        0.9796292301791432, 0.031049600354208357, 0.7811987096827641, 0.07943736284730159,
+        1.1931994970693247, 1.4805298565820004,
+        -0.9201488970221928, 0.13314146730739343, -0.8894502186920351, 0.130909724450189,
+    ),
+    "4-3-at-0.99904": _near_asymptote_model(
+        0.894906637790907, 0.03558386845872962, 0.9401442353339748, 0.04894999104259788,
+        1.0180233182204121, 1.3529871439770214,
+        -1.0257871330769672, 0.12258026355790626, -0.9305077319535806, 0.12559749775445841,
+    ),
+}
+
+
+class TestRootPolish:
+    @pytest.mark.parametrize("label", sorted(NEAR_ASYMPTOTE_MODELS))
+    def test_levels_near_asymptote_satisfy_pde(self, label):
+        model = NEAR_ASYMPTOTE_MODELS[label]
+        grid = Grid2D(Grid1D(-2.0, 8.0, 61), Grid1D(-2.0, 8.0, 61))
+        valid = [
+            e
+            for e in enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, energy_window(model), 4)
+            if e.valid.all_ok
+        ]
+        assert max(e.energy for e in valid) > 0.999
+        for e in valid:
+            r = pde_residual(model, e, grid)
+            assert r < 1e-10, f"({e.m},{e.n}) at E={e.energy!r}: residual {r:.3e}"
+
+    def test_every_reference_level_satisfies_pde(self, reference_model, window):
+        grid = Grid2D(Grid1D(-2.0, 10.0, 101), Grid1D(-2.0, 10.0, 101))
+        for e in enumerate_spectrum(reference_model, Variant.FIRST_PRINCIPLES, window, 6):
+            assert pde_residual(reference_model, e, grid) < 1e-10, (e.m, e.n)
+
+    def test_reference_roots_at_closed_forms(self, reference_model, window):
+        fp = enumerate_spectrum(reference_model, Variant.FIRST_PRINCIPLES, window, 6)
+        assert len(fp) == 8
+        for e in fp:
+            assert abs(e.energy - FP_LEVELS[min(e.m, e.n), max(e.m, e.n)]) <= 1e-15, (e.m, e.n)
+        # The paper-printed multi-root pairs of the README.
+        pp = enumerate_spectrum(reference_model, Variant.PAPER_PRINTED, window, 6)
+        multi = {
+            (2, 3): (-0.25, 0.75),
+            (3, 2): (-0.25, 0.75),
+            (3, 3): ((2.0 - math.sqrt(3.0)) / 4.0, (2.0 + math.sqrt(3.0)) / 4.0),
+        }
+        for pair, want in multi.items():
+            got = sorted(e.energy for e in pp if (e.m, e.n) == pair)
+            assert len(got) == 2
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, pair
 
 
 class TestBackSubstitution:
