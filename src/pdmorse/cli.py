@@ -24,7 +24,6 @@ import numpy as np
 from . import oracle, spectrum
 from .effective import channels_at, is_reduction_ordering, ueff_at, veff_at, xi_of
 from .errors import (
-    ChannelUnsupported,
     ConfigError,
     DegenerateWindow,
     EvaluationOverflow,
@@ -322,20 +321,29 @@ def cmd_fields(
 
 
 def _verify_checks(cfg: RunConfig):
-    """Yield (name, callable) pairs; each callable returns a detail string."""
-    model = cfg.model
-    resolved: list = []
+    """(name, callable) pairs; each callable returns a detail string.
 
-    def window() -> EnergyWindow:
-        """The run's window, resolved once; a failure is re-raised to each check that needs it."""
-        if not resolved:
-            try:
-                resolved.append(_resolve_window(cfg))
-            except PdmorseError as exc:
-                resolved.append(exc)
-        if isinstance(resolved[0], PdmorseError):
-            raise resolved[0]
-        return resolved[0]
+    The last four checks read one study, resolved before any check runs: the
+    window, the configured variant's spectrum and the first-principles one.
+    A failure to resolve it is raised again by each of them.  Without the
+    reducing ordering there is no condition to solve and their callables are
+    None.
+    """
+    model = cfg.model
+    study = None
+    if is_reduction_ordering(model.ordering):
+        try:
+            window = _resolve_window(cfg)
+            entries = enumerate_spectrum(model, cfg.variant, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
+            fp_entries = entries
+            if cfg.variant is not Variant.FIRST_PRINCIPLES:
+                # Printed-condition roots are not eigenvalues of the reduced PDE.
+                fp_entries = enumerate_spectrum(
+                    model, Variant.FIRST_PRINCIPLES, window, cfg.max_q, cfg.scan_points, cfg.tol_root
+                )
+            study = (window, entries, fp_entries)
+        except Exception as exc:  # noqa: BLE001 - each spectrum check reports it
+            study = exc
 
     def check_ordering():
         o = solve_ambiguity_free_ordering()
@@ -412,11 +420,7 @@ def _verify_checks(cfg: RunConfig):
         assert abs(overlap) < 1e-8, f"levels 0 and 1 overlap {overlap:.3e}"
         return f"<0|1> = {abs(overlap):.3e}"
 
-    entries_box: list = []
-
-    def check_backsub():
-        entries = enumerate_spectrum(model, cfg.variant, window(), cfg.max_q, cfg.scan_points, cfg.tol_root)
-        entries_box.extend(entries)
+    def check_backsub(window, entries, fp_entries):
         worst = max((e.residual for e in entries), default=0.0)
         for e in entries:
             assert abs(mismatch(model, cfg.variant, e.m, e.n, e.energy)) < 1e-10, (
@@ -424,15 +428,8 @@ def _verify_checks(cfg: RunConfig):
             )
         return f"{len(entries)} levels, worst |F| = {worst:.3e}"
 
-    def check_pde():
-        valid = [e for e in entries_box if e.valid.all_ok and e.variant is Variant.FIRST_PRINCIPLES]
-        if cfg.variant is not Variant.FIRST_PRINCIPLES:
-            # Printed-condition roots are not eigenvalues of the reduced PDE.
-            valid = [
-                e
-                for e in enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, window(), cfg.max_q, cfg.scan_points, cfg.tol_root)
-                if e.valid.all_ok
-            ]
+    def check_pde(window, entries, fp_entries):
+        valid = [e for e in fp_entries if e.valid.all_ok]
         if not valid:
             return "skipped: no fully valid levels"
         grid = oracle.Grid2D(oracle.Grid1D(-2.0, 8.0, 61), oracle.Grid1D(-2.0, 8.0, 61))
@@ -442,24 +439,31 @@ def _verify_checks(cfg: RunConfig):
         assert worst < 1e-10, f"PDE residual {worst:.3e}"
         return f"max relative residual {worst:.3e} over {min(3, len(valid))} levels"
 
-    def check_window():
-        w = window()
-        for e in entries_box:
-            assert w.lo - 1e-9 <= e.energy <= w.hi + 1e-9, (
+    def check_window(window, entries, fp_entries):
+        for e in entries:
+            assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9, (
                 f"({e.m},{e.n}) energy {e.energy} outside window"
             )
-        return f"{len(entries_box)} energies inside [{_fmt(w.lo)}, {_fmt(w.hi)}]"
+        return f"{len(entries)} energies inside [{_fmt(window.lo)}, {_fmt(window.hi)}]"
 
-    def check_degeneracy():
-        clusters = group_degeneracies(entries_box, cfg.tol_degeneracy)
+    def check_degeneracy(window, entries, fp_entries):
+        clusters = group_degeneracies(entries, cfg.tol_degeneracy)
         if spectrum.is_xy_symmetric(model):
-            for e in entries_box:
-                partner = [p for p in entries_box if (p.m, p.n) == (e.n, e.m)]
+            for e in entries:
+                partner = [p for p in entries if (p.m, p.n) == (e.n, e.m)]
                 assert partner and any(p.energy == e.energy for p in partner), (
                     f"({e.m},{e.n}) lacks an exact mirror partner"
                 )
         multi = [c for c in clusters if c.multiplicity > 1]
         return f"{len(clusters)} clusters, {len(multi)} degenerate"
+
+    def on_study(check):
+        def run():
+            if isinstance(study, Exception):
+                raise study
+            return check(*study)
+
+        return None if study is None else run
 
     return [
         ("ordering-solution", check_ordering),
@@ -467,19 +471,18 @@ def _verify_checks(cfg: RunConfig):
         ("1d-oracle", check_oracle_1d),
         ("node-counts", check_nodes),
         ("orthogonality", check_orthogonality),
-        ("back-substitution", check_backsub),
-        ("pde-residual", check_pde),
-        ("window-containment", check_window),
-        ("degeneracy", check_degeneracy),
+        ("back-substitution", on_study(check_backsub)),
+        ("pde-residual", on_study(check_pde)),
+        ("window-containment", on_study(check_window)),
+        ("degeneracy", on_study(check_degeneracy)),
     ]
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str = ".") -> int:
-    """Run every invariant check, printing one pass/fail line per check."""
+def cmd_verify(cfg: RunConfig) -> int:
+    """Run every invariant check, printing one pass/fail/skip line per check."""
     failures: list[tuple[str, BaseException]] = []
-    ordering_bad = False
     for name, check in _verify_checks(cfg):
-        if ordering_bad and name in ("back-substitution", "pde-residual", "window-containment", "degeneracy"):
+        if check is None:
             print(f"SKIP {name}: requires the solvable ordering")
             continue
         try:
@@ -490,8 +493,6 @@ def cmd_verify(cfg: RunConfig, out_dir: str = ".") -> int:
                 raise
             print(f"FAIL {name}: {exc}")
             failures.append((name, exc))
-            if name == "reduction-identity" and isinstance(exc, OrderingNotSolvable):
-                ordering_bad = True
     if not failures:
         print("all checks passed")
         return EXIT_OK
@@ -501,12 +502,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str = ".") -> int:
 
 
 def _is_reference_model(model: Model) -> bool:
-    ms, ps = model.mass, model.pot
-    return (
-        model.hbar == 1.0
-        and (ms.m0, ms.g1, ms.g2, ms.g3, ms.g4, ms.a1, ms.a2) == (1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0)
-        and (ps.r, ps.a, ps.b1, ps.b2, ps.b3, ps.b4) == (0.0, 1.0, -1.0, 0.125, -1.0, 0.125)
-    )
+    ref = config_from_dict({}).model
+    return (model.hbar, model.mass, model.pot) == (ref.hbar, ref.mass, ref.pot)
 
 
 def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
@@ -561,7 +558,7 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig, m: int, n: int, out_dir: str = ".") -> int:
+def cmd_oracle(cfg: RunConfig, m: int, n: int) -> int:
     """Finite-difference cross-check of one level against the closed form."""
     window = _resolve_window(cfg)
     roots = find_roots(cfg.model, Variant.FIRST_PRINCIPLES, m, n, window, cfg.scan_points, cfg.tol_root)
@@ -618,11 +615,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fields":
             return cmd_fields(cfg, args.which, args.out, args.m, args.n, args.energy)
         if args.command == "verify":
-            return cmd_verify(cfg, args.out)
+            return cmd_verify(cfg)
         if args.command == "compare-table":
             return cmd_compare_table(cfg, args.out)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.m, args.n, args.out)
+            return cmd_oracle(cfg, args.m, args.n)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, UnknownLevel) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -630,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (Unbounded, DegenerateWindow, OrderingNotSolvable, ChannelUnsupported) as exc:
+    except (Unbounded, DegenerateWindow, OrderingNotSolvable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PdmorseError as exc:  # pragma: no cover - safety net

@@ -29,7 +29,6 @@ class GammaSet:
     gamma2: float
     gamma3: float
     gamma4: float
-    e_trial: float
     #: m0 (r - E), the amount by which each weight moves per unit of g_i.
     shift: float
 
@@ -44,9 +43,21 @@ def laplacian_coefficient(ordering: OrderingParams) -> float:
     return ordering.alpha + ordering.gamma + 1.0
 
 
-def is_reduction_ordering(ordering: OrderingParams, tol: float = REDUCTION_TOL) -> bool:
+def is_reduction_ordering(ordering: OrderingParams) -> bool:
     """True when both mass-gradient coefficients vanish."""
-    return abs(grad_coefficient(ordering)) <= tol and abs(laplacian_coefficient(ordering)) <= tol
+    return (
+        abs(grad_coefficient(ordering)) <= REDUCTION_TOL
+        and abs(laplacian_coefficient(ordering)) <= REDUCTION_TOL
+    )
+
+
+def require_reduction_ordering(ordering: OrderingParams, what: str) -> None:
+    """Raise OrderingNotSolvable unless the ordering reduces; ``what`` names the caller's object."""
+    if not is_reduction_ordering(ordering):
+        raise OrderingNotSolvable(
+            f"{what} requires the ordering with vanishing mass-gradient "
+            f"coefficients (alpha=gamma=-1/2, beta=0); got {ordering}"
+        )
 
 
 def veff_at(model: Model, x, y):
@@ -77,7 +88,6 @@ def gammas_at(model: Model, e_trial: float) -> GammaSet:
         gamma2=model.pot.b2 + shift * model.mass.g2,
         gamma3=model.pot.b3 + shift * model.mass.g3,
         gamma4=model.pot.b4 + shift * model.mass.g4,
-        e_trial=e_trial,
         shift=shift,
     )
 
@@ -106,11 +116,7 @@ def ueff_at(model: Model, e_trial: float, x, y):
     Only valid under the ambiguity-free ordering; anything else leaves
     residual mass-gradient terms and is rejected.
     """
-    if not is_reduction_ordering(model.ordering):
-        raise OrderingNotSolvable(
-            "reduced potential requires the ordering with vanishing mass-gradient "
-            f"coefficients (alpha=gamma=-1/2, beta=0); got {model.ordering}"
-        )
+    require_reduction_ordering(model.ordering, "reduced potential")
     g = gammas_at(model, e_trial)
     e1, e2, e3, e4 = _exponentials(model.mass, x, y)
     u = g.gamma1 * e1 + g.gamma2 * e2 + g.gamma3 * e3 + g.gamma4 * e4

@@ -32,15 +32,6 @@ class InvalidLevel(PdmorseError):
     """Requested quantum number exceeds the channel's level count."""
 
 
-class ChannelUnsupported(PdmorseError):
-    """At this trial energy the separated channels lose bound-state support."""
-
-    def __init__(self, e_trial: float, reason: str):
-        self.e_trial = e_trial
-        self.reason = reason
-        super().__init__(f"no bound-state channel at E={e_trial!r}: {reason}")
-
-
 class GridTooSmall(PdmorseError):
     """The finite-difference grid cannot resolve the requested levels."""
 

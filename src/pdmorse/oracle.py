@@ -11,13 +11,12 @@ strictly in the trial energy, so a binary search over the scan nodes finds
 the one bracketing cell.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import channels_at, epsilon_of
+from .effective import channels_at, epsilon_of, require_reduction_ordering
 from .errors import EvaluationOverflow, GridTooSmall, NoBracket, NotConverged, Unbounded
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
@@ -92,21 +91,6 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     return EigenResult(np.asarray(vals, dtype=float), endpoint_below_level=float(np.min(ends)) < float(vals[-1]))
 
 
-def _lowest_sums(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """k smallest pairwise sums of two ascending arrays (heap frontier walk)."""
-    out = []
-    seen = {(0, 0)}
-    heap = [(float(a[0] + b[0]), 0, 0)]
-    while heap and len(out) < k:
-        s, i, j = heapq.heappop(heap)
-        out.append(s)
-        for i2, j2 in ((i + 1, j), (i, j + 1)):
-            if i2 < len(a) and j2 < len(b) and (i2, j2) not in seen:
-                seen.add((i2, j2))
-                heapq.heappush(heap, (float(a[i2] + b[j2]), i2, j2))
-    return np.asarray(out)
-
-
 def _is_separable(potential, grid: Grid2D, rtol: float = 1e-10) -> bool:
     """Probe f(x,y) - f(x,y0) - f(x0,y) + f(x0,y0) on a coarse sub-mesh."""
     xs = np.linspace(grid.x.x0, grid.x.x1, 5)
@@ -151,8 +135,8 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
             ky = min(k, ny_int)
             ex = fd_eigen_1d(ux, grid.x, kx).eigenvalues
             ey = fd_eigen_1d(uy, grid.y, ky).eigenvalues
-            vals = _lowest_sums(ex, ey, k)
-            return EigenResult(vals)
+            # kx * ky >= k, so the k lowest of all pairwise sums are the answer.
+            return EigenResult(np.sort(np.add.outer(ex, ey).ravel())[:k])
 
     import scipy.sparse
     import scipy.sparse.linalg
@@ -217,7 +201,9 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
     2 + ceil(log2(scan_points - 1)) evaluations; bisection then narrows that
     cell to width tol and returns its midpoint.  An exact zero at a node is
     returned as is; without a strict sign change the routine refuses to guess.
+    Raises OrderingNotSolvable unless the model's ordering is the reducing one.
     """
+    require_reduction_ordering(model.ordering, "the per-axis reduced operators")
     g_of = lambda e: _level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
     lo, hi = 0, scan_points - 1
@@ -283,7 +269,7 @@ def auto_grid_1d(ch: MorseChannel, n: int = 4000) -> Grid1D:
     return Grid1D(x_left, x_right, n)
 
 
-def minimize_potential(model: Model, scan_span: float = 12.0, scan_nodes: int = 161) -> tuple[float, float, float]:
+def minimize_potential(model: Model) -> tuple[float, float, float]:
     """Global minimum of the potential surface: (x*, y*, value).
 
     Coarse rectangular scan (each axis ranged by its own decay length)
@@ -292,8 +278,9 @@ def minimize_potential(model: Model, scan_span: float = 12.0, scan_nodes: int = 
     scan with the potential still falling outward or by the refinement, is
     reported as Unbounded rather than returned as a fake minimizer.
     """
-    lx = scan_span / model.mass.a1
-    ly = scan_span / model.mass.a2
+    scan_nodes = 161
+    lx = 12.0 / model.mass.a1
+    ly = 12.0 / model.mass.a2
     xs = np.linspace(-0.75 * lx, 3.0 * lx, scan_nodes)
     ys = np.linspace(-0.75 * ly, 3.0 * ly, scan_nodes)
     X, Y = np.meshgrid(xs, ys)

@@ -18,12 +18,13 @@ instead of silently repairing either one.
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import oracle
-from .effective import channels_at, epsilon_of, gammas_at, ueff_at
-from .errors import ChannelUnsupported, DegenerateWindow, InvalidLevel
+from .effective import channels_at, epsilon_of, gammas_at, require_reduction_ordering, ueff_at
+from .errors import DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
 from .morse1d import _level_epsilon, energy_1d, m_max, wavefunction_1d
 
@@ -64,8 +65,6 @@ class SpectrumEntry:
     residual: float
     valid: ValidityFlags
     variant: Variant
-    #: m0 (r - E) at the root; the shift entering gamma_i = b_i + shift * g_i.
-    gamma_shift: float
 
 
 @dataclass(frozen=True)
@@ -107,44 +106,32 @@ REFERENCE_LEVELS: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def _defect(model: Model, variant: Variant, m: int, n: int, e):
-    """F(E) elementwise over trial energies e, NaN where F is undefined.
+def mismatch(model: Model, variant: Variant, m: int, n: int, e):
+    """Signed self-consistency defect F(E) whose roots are physical levels.
 
-    First-principles F is undefined where level m (x) or n (y) is not bound;
-    the printed condition where gamma2 <= 0 or gamma4 <= 0.
+    Elementwise over trial energies e, NaN where F is undefined, and a float
+    for scalar e.  First-principles F is undefined where level m (x) or n (y)
+    is not bound; the printed condition where gamma2 <= 0 or gamma4 <= 0.
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
     if variant is Variant.FIRST_PRINCIPLES:
         chx, chy = channels_at(model, e)
-        return _level_epsilon(chx, m) + _level_epsilon(chy, n) - epsilon_of(model, e)
-    # Verbatim transcription of the published condition: prefactor 8,
-    # |gamma3| in both brackets, n paired with the x-axis quantities and
-    # m with the y-axis ones, all evaluated at the shift m0 (r - E).
-    g = gammas_at(model, e)
-    ab1 = model.hbar * model.mass.a1
-    ab2 = model.hbar * model.mass.a2
-    with np.errstate(all="ignore"):
-        lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
-        t1 = np.abs(g.gamma3) - ab1 * np.sqrt(g.gamma2 / 2.0) * (2 * n + 1)
-        t2 = np.abs(g.gamma3) - ab2 * np.sqrt(g.gamma4 / 2.0) * (2 * m + 1)
-        f = lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
-    return np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), f, np.nan)
-
-
-def mismatch(model: Model, variant: Variant, m: int, n: int, e: float) -> float:
-    """Signed self-consistency defect F(E) whose roots are physical levels.
-
-    Raises :class:`~pdmorse.errors.ChannelUnsupported` where the condition is
-    undefined (lost bound-state support, or level beyond the energy-dependent
-    cap); scanners treat those regions as excluded rather than failed.
-    """
-    f = float(_defect(model, variant, m, n, e))
-    if math.isnan(f):
-        if variant is Variant.PAPER_PRINTED:
-            raise ChannelUnsupported(e, "printed condition needs gamma2>0 and gamma4>0")
-        raise ChannelUnsupported(e, f"level ({m}, {n}) is not bound in both channels")
-    return f
+        f = _level_epsilon(chx, m) + _level_epsilon(chy, n) - epsilon_of(model, e)
+    else:
+        # Verbatim transcription of the published condition: prefactor 8,
+        # |gamma3| in both brackets, n paired with the x-axis quantities and
+        # m with the y-axis ones, all evaluated at the shift m0 (r - E).
+        g = gammas_at(model, e)
+        ab1 = model.hbar * model.mass.a1
+        ab2 = model.hbar * model.mass.a2
+        with np.errstate(all="ignore"):
+            lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
+            t1 = np.abs(g.gamma3) - ab1 * np.sqrt(g.gamma2 / 2.0) * (2 * n + 1)
+            t2 = np.abs(g.gamma3) - ab2 * np.sqrt(g.gamma4 / 2.0) * (2 * m + 1)
+            f = lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
+        f = np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), f, np.nan)
+    return f if np.ndim(f) else float(f)
 
 
 def validity_at(model: Model, window: EnergyWindow, m: int, n: int, e: float) -> ValidityFlags:
@@ -179,13 +166,15 @@ def find_roots(
     |F| from ~tol |F'| down to rounding, which matters because
     :func:`pde_residual` divides by eps, and eps -> 0 as a level nears the
     asymptote.  Tangential (even-multiplicity) roots do not produce a sign
-    change and are therefore not reported.
+    change and are therefore not reported.  Raises OrderingNotSolvable unless
+    the model's ordering is the reducing one, for which alone F exists.
     """
+    require_reduction_ordering(model.ordering, "the self-consistency condition")
     if scan_points < 100:
         raise ValueError(f"need scan_points >= 100, got {scan_points}")
     es = np.linspace(window.lo, window.hi, scan_points)
-    vals = _defect(model, variant, m, n, es)
-    f = lambda e: float(_defect(model, variant, m, n, e))
+    vals = mismatch(model, variant, m, n, es)
+    f = lambda e: mismatch(model, variant, m, n, e)
     roots = [float(e) for e in es[vals == 0.0]]
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         a, b = float(es[i]), float(es[i + 1])
@@ -211,7 +200,6 @@ def find_roots(
                 residual=math.inf if math.isnan(fr) else abs(fr),
                 valid=validity_at(model, window, m, n, r),
                 variant=variant,
-                gamma_shift=gammas_at(model, r).shift,
             )
         )
     return out
@@ -387,8 +375,9 @@ class TableRow:
 @dataclass(frozen=True)
 class TableComparison:
     rows: tuple[TableRow, ...]
-    match_tol: float
     multi_roots: tuple[tuple[str, int, int, tuple[float, ...]], ...]
+    #: A root matches its reference level when closer than this.
+    match_tol: ClassVar[float] = 1e-5
 
     @property
     def matches_fp(self) -> int:
@@ -400,13 +389,9 @@ class TableComparison:
 
 
 def compare_table(
-    model: Model,
-    reference=REFERENCE_LEVELS,
-    window: EnergyWindow | None = None,
-    scan_points: int = 2000,
-    match_tol: float = 1e-5,
+    model: Model, window: EnergyWindow | None = None, scan_points: int = 2000
 ) -> TableComparison:
-    """Nearest-root distances of both variants against a reference spectrum.
+    """Nearest-root distances of both variants against REFERENCE_LEVELS.
 
     Purely diagnostic: reports per-entry distances and per-variant match
     counts, and inventories quantum numbers that produced several roots.  It
@@ -416,17 +401,12 @@ def compare_table(
         window = energy_window(model)
     rows = []
     multi = []
-    root_cache: dict[tuple[Variant, int, int], list[float]] = {}
-    for m, n, e_ref in reference:
+    for m, n, e_ref in REFERENCE_LEVELS:
         nearest = {}
         for variant in (Variant.FIRST_PRINCIPLES, Variant.PAPER_PRINTED):
-            key = (variant, m, n)
-            if key not in root_cache:
-                found = find_roots(model, variant, m, n, window, scan_points)
-                root_cache[key] = [e.energy for e in found]
-                if len(root_cache[key]) > 1:
-                    multi.append((variant.value, m, n, tuple(root_cache[key])))
-            energies = root_cache[key]
+            energies = [e.energy for e in find_roots(model, variant, m, n, window, scan_points)]
+            if len(energies) > 1:
+                multi.append((variant.value, m, n, tuple(energies)))
             if energies:
                 best = min(energies, key=lambda e: abs(e - e_ref))
                 nearest[variant] = (best, abs(best - e_ref))
@@ -441,10 +421,10 @@ def compare_table(
                 e_ref=e_ref,
                 e_fp=e_fp,
                 de_fp=de_fp,
-                match_fp=de_fp < match_tol,
+                match_fp=de_fp < TableComparison.match_tol,
                 e_pp=e_pp,
                 de_pp=de_pp,
-                match_pp=de_pp < match_tol,
+                match_pp=de_pp < TableComparison.match_tol,
             )
         )
-    return TableComparison(rows=tuple(rows), match_tol=match_tol, multi_roots=tuple(multi))
+    return TableComparison(rows=tuple(rows), multi_roots=tuple(multi))

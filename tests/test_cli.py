@@ -9,6 +9,7 @@ from pdmorse.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_INVARIANT,
+    EXIT_NUMERIC,
     EXIT_OK,
     config_from_dict,
     load_config,
@@ -173,7 +174,11 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert out.count("PASS") == 9
 
-    def test_nonsolvable_ordering_fails_reduction(self, tmp_path, capsys):
+    def test_nonsolvable_ordering_fails_reduction(self, tmp_path, capsys, monkeypatch):
+        import pdmorse.cli
+
+        # No condition to solve, so no window and no spectrum either.
+        monkeypatch.setattr(pdmorse.cli, "energy_window", lambda model: pytest.fail("window resolved"))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"ordering": {"alpha": 0.0, "beta": -1.0, "gamma": 0.0}}))
         code = run_main("--config", str(path), "--out", str(tmp_path), "verify")
@@ -181,6 +186,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL reduction-identity" in out
         assert "first failing check: reduction-identity" in out
+        assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
+            f"SKIP {name}: requires the solvable ordering"
+            for name in ("back-substitution", "pde-residual", "window-containment", "degeneracy")
+        ]
 
     @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
     def test_window_resolved_once(self, tmp_path, capsys, monkeypatch, variant):
@@ -192,15 +201,28 @@ class TestVerifyCommand:
         assert run_main("--variant", variant, "--out", str(tmp_path), "verify") == EXIT_OK
         assert len(calls) == 1
 
-    def test_window_error_reported_by_each_check_that_needs_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant, runs", [("first-principles", 1), ("paper-printed", 2)])
+    def test_spectrum_enumerated_once_per_variant(self, tmp_path, capsys, monkeypatch, variant, runs):
+        import pdmorse.cli
+
+        calls = []
+        real = pdmorse.cli.enumerate_spectrum
+        monkeypatch.setattr(pdmorse.cli, "enumerate_spectrum", lambda *a: calls.append(a[1]) or real(*a))
+        assert run_main("--variant", variant, "--out", str(tmp_path), "verify") == EXIT_OK
+        assert [v.value for v in calls] == [variant, "first-principles"][:runs]
+
+    @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
+    def test_window_error_reported_by_each_check_that_needs_it(self, tmp_path, capsys, variant):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"b1": 0.0, "b2": 0.0, "b3": 0.0, "b4": 0.0, "g1": 0.0, "g3": 0.0}))
-        code = run_main("--config", str(path), "--variant", "paper-printed", "--out", str(tmp_path), "verify")
+        code = run_main("--config", str(path), "--variant", variant, "--out", str(tmp_path), "verify")
         assert code == EXIT_INVARIANT
-        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert [line.split(":")[0] for line in failed] == [
-            "FAIL back-substitution", "FAIL pde-residual", "FAIL window-containment"
+            "FAIL back-substitution", "FAIL pde-residual", "FAIL window-containment", "FAIL degeneracy"
         ]
+        assert "first failing check: back-substitution" in out
         assert len({line.split(": ", 1)[1] for line in failed}) == 1
         assert "does not lie below the asymptote" in failed[0]
 
@@ -266,13 +288,46 @@ class TestOracleCommand:
         assert line in capsys.readouterr().out.splitlines()
 
     def test_no_bracket_exits_numeric(self, tmp_path, capsys):
-        from pdmorse.cli import EXIT_NUMERIC
-
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"window": {"lo": 0.95, "hi": 1.0}}))
         code = run_main("--config", str(path), "--out", str(tmp_path), "oracle", "--m", "0", "--n", "0")
         assert code == EXIT_NUMERIC
         assert "no sign change" in capsys.readouterr().err
+
+
+class TestNonReducingOrdering:
+    """Commands that solve the self-consistency condition refuse an ordering it does not exist for."""
+
+    ORDERING = {"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}}
+
+    @pytest.mark.parametrize(
+        "argv, csv_name",
+        [
+            (["spectrum"], "spectrum.csv"),
+            (["fields", "--which", "psi", "--m", "1", "--n", "2"], "field.csv"),
+            (["compare-table"], "table_compare.csv"),
+            (["oracle", "--m", "0", "--n", "0"], None),
+            (["fields", "--which", "ueff"], "field.csv"),
+        ],
+        ids=["spectrum", "fields-psi", "compare-table", "oracle", "fields-ueff"],
+    )
+    def test_exits_numeric(self, tmp_path, capsys, argv, csv_name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.ORDERING))
+        assert run_main("--config", str(path), "--out", str(tmp_path), *argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "requires the ordering with vanishing mass-gradient coefficients" in captured.err
+        assert captured.err.count("\n") == 1
+        if csv_name is not None:
+            assert not (tmp_path / csv_name).exists()
+
+    @pytest.mark.parametrize("which", ["potential", "mass"])
+    def test_plain_fields_unaffected(self, tmp_path, which):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.ORDERING))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "fields", "--which", which) == EXIT_OK
 
 
 class TestSubprocessEntrypoints:

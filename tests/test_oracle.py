@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pdmorse import (
     Grid2D,
     GridTooSmall,
     NoBracket,
+    OrderingNotSolvable,
     Unbounded,
     auto_grid_1d,
     energy_1d,
@@ -190,6 +192,11 @@ class TestOracleEnergy2D:
         e = oracle_energy_2d(reference_model, 0, 0, window, grid)
         e_closed = (math.sqrt(29.0) - 7.0) / 8.0
         assert abs(e - e_closed) < 1e-3
+
+    def test_nonreducing_ordering_raises(self, reference_model):
+        model = replace(reference_model, ordering=OrderingParams(-0.4, -0.2, -0.4))
+        with pytest.raises(OrderingNotSolvable, match="per-axis reduced operators"):
+            oracle_energy_2d(model, 0, 0, EnergyWindow(-0.4, 1.0), self.SEARCH_GRID)
 
     def test_readme_grid_errors(self, reference_model):
         # README: on 192^2 over [-4, 12] the oracle misses the six distinct

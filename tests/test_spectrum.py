@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmorse import (
-    ChannelUnsupported,
     DegenerateWindow,
     EnergyWindow,
     Grid1D,
     Grid2D,
     MassParams,
     Model,
+    OrderingNotSolvable,
     OrderingParams,
     PotentialParams,
     REFERENCE_LEVELS,
@@ -38,7 +38,6 @@ from pdmorse import (
 from pdmorse.spectrum import (
     SpectrumEntry,
     ValidityFlags,
-    _defect,
     is_xy_symmetric,
     validity_at,
 )
@@ -93,15 +92,17 @@ class TestMismatch:
         assert roots[0] == pytest.approx(math.sqrt(15.0) / 4.0 - 1.0, abs=1e-12)
         assert abs(mismatch(reference_model, Variant.PAPER_PRINTED, 0, 0, roots[0])) < 1e-12
 
-    def test_unsupported_energy_raises(self, reference_model):
+    def test_unsupported_energy_is_nan(self, reference_model):
         # gamma1(E) = -1 - E >= 0 for E <= -1: repulsive linear term.
-        with pytest.raises(ChannelUnsupported):
-            mismatch(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, -2.0)
+        assert math.isnan(mismatch(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, -2.0))
 
-    def test_level_beyond_cap_raises(self, reference_model):
+    def test_level_beyond_cap_is_nan(self, reference_model):
         # At E = -0.3, lam = 2(1+E) = 1.4 so only m = 0 is allowed.
-        with pytest.raises(ChannelUnsupported):
-            mismatch(reference_model, Variant.FIRST_PRINCIPLES, 2, 0, -0.3)
+        assert math.isnan(mismatch(reference_model, Variant.FIRST_PRINCIPLES, 2, 0, -0.3))
+
+    def test_scalar_energy_gives_float(self, reference_model):
+        for variant in Variant:
+            assert type(mismatch(reference_model, variant, 0, 0, 0.1)) is float
 
     def test_continuity_on_supported_interval(self, reference_model):
         f = lambda e: mismatch(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, e)
@@ -122,8 +123,8 @@ class TestDefectArrayPath:
         es = window.lo + (window.hi - window.lo) * np.array(fractions)
         for m in range(4):
             for n in range(4):
-                fp = _defect(model, Variant.FIRST_PRINCIPLES, m, n, es)
-                pp = _defect(model, Variant.PAPER_PRINTED, m, n, es)
+                fp = mismatch(model, Variant.FIRST_PRINCIPLES, m, n, es)
+                pp = mismatch(model, Variant.PAPER_PRINTED, m, n, es)
                 for e, f_fp, f_pp in zip(es.tolist(), fp.tolist(), pp.tolist()):
                     v = validity_at(model, window, m, n, e)
                     defined = v.support_x and v.support_y and v.level_x_allowed and v.level_y_allowed
@@ -140,9 +141,8 @@ class TestDefectArrayPath:
         # formula alone would still give a finite number.
         model = replace(reference_model, mass=replace(reference_model.mass, g2=0.125))
         assert gammas_at(model, 1.0).gamma2 == 0.0
-        assert math.isnan(_defect(model, Variant.PAPER_PRINTED, 0, 0, np.array([0.5, 1.0]))[1])
-        with pytest.raises(ChannelUnsupported):
-            mismatch(model, Variant.PAPER_PRINTED, 0, 0, 1.0)
+        assert math.isnan(mismatch(model, Variant.PAPER_PRINTED, 0, 0, np.array([0.5, 1.0]))[1])
+        assert math.isnan(mismatch(model, Variant.PAPER_PRINTED, 0, 0, 1.0))
 
 
 class TestFindRoots:
@@ -153,7 +153,13 @@ class TestFindRoots:
         assert e.energy == pytest.approx((math.sqrt(29.0) - 7.0) / 8.0, abs=1e-11)
         assert e.residual < 1e-10
         assert e.valid.all_ok
-        assert e.gamma_shift == pytest.approx(-e.energy)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_nonreducing_ordering_raises(self, reference_model, window, variant):
+        # Mass-gradient terms survive this ordering, so no F(E) exists to solve.
+        model = replace(reference_model, ordering=OrderingParams(-0.4, -0.2, -0.4))
+        with pytest.raises(OrderingNotSolvable, match="self-consistency condition"):
+            find_roots(model, variant, 0, 0, window)
 
     def test_every_quadratic_root_found(self, reference_model, window):
         # All in-window, in-support quadratic roots appear, none extra.
@@ -291,7 +297,6 @@ def _fake_entry(m, n, energy):
         residual=0.0,
         valid=flags,
         variant=Variant.FIRST_PRINCIPLES,
-        gamma_shift=-energy,
     )
 
 
