@@ -14,15 +14,14 @@ newlines so repeated runs are byte-identical.
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import oracle, spectrum
-from .effective import channels_at, is_reduction_ordering, ueff_at, veff_at, xi_of
+from .effective import channels_at, is_reduction_ordering, require_reduction_ordering, ueff_at, veff_at, xi_of
 from .errors import (
     ConfigError,
     DegenerateWindow,
@@ -83,9 +82,6 @@ DEFAULT_CONFIG: dict = {
     "tolerances": {"root": 1e-12, "degeneracy": 1e-6, "quadrature": 1e-8},
 }
 
-_MODEL_KEYS = ("hbar", "m0", "g1", "g2", "g3", "g4", "a1", "a2", "r", "a", "b1", "b2", "b3", "b4")
-
-
 @dataclass
 class RunConfig:
     model: Model
@@ -99,18 +95,36 @@ class RunConfig:
     #: Validated and kept for existing callers; no output depends on it,
     #: because every L2 norm is an exact closed form.
     tol_quadrature: float
-    raw: dict = field(repr=False, default_factory=dict)
 
 
-def _require_number(raw: dict, key: str) -> float:
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field '{key}' must be a number, got {v!r}")
-    return float(v)
+def _leaf(key: str, value, default):
+    """``value`` as its default's type: a float default takes any number, an
+    int default only an integer, and a bool is neither."""
+    kind = float if isinstance(default, float) else int
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ConfigError(f"field '{key}' must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+    return kind(value)
+
+
+def _tolerance(key: str, value, default) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(f"tolerance '{key}' must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _object(name: str, value, shape: dict, leaf=_leaf) -> dict:
+    """``value`` with exactly ``shape``'s keys, each leaf checked against its default."""
+    if not isinstance(value, dict) or set(value) != set(shape):
+        raise ConfigError(f"'{name}' must be an object with keys {', '.join(shape)}")
+    return {k: leaf(k, value[k], d) for k, d in shape.items()}
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Validate a config mapping; unknown keys are hard errors."""
+    """Validate a config mapping against the shape of DEFAULT_CONFIG.
+
+    Unknown keys are hard errors.  The top-level float defaults are the model
+    numbers, and every object must carry exactly its default's keys.
+    """
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
     merged = {**DEFAULT_CONFIG, **data}
@@ -118,27 +132,15 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    for key in _MODEL_KEYS:
-        merged[key] = _require_number(merged, key)
-
-    ordering_raw = merged["ordering"]
-    if not isinstance(ordering_raw, dict) or set(ordering_raw) != {"alpha", "beta", "gamma"}:
-        raise ConfigError("'ordering' must be an object with keys alpha, beta, gamma")
+    num = {k: _leaf(k, merged[k], d) for k, d in DEFAULT_CONFIG.items() if isinstance(d, float)}
     try:
-        ordering = OrderingParams(*(_require_number(ordering_raw, k) for k in ("alpha", "beta", "gamma")))
-        mass = MassParams(
-            m0=merged["m0"],
-            g1=merged["g1"],
-            g2=merged["g2"],
-            g3=merged["g3"],
-            g4=merged["g4"],
-            a1=merged["a1"],
-            a2=merged["a2"],
+        ordering = OrderingParams(**_object("ordering", merged["ordering"], DEFAULT_CONFIG["ordering"]))
+        model = Model(
+            hbar=num["hbar"],
+            mass=MassParams(**{f.name: num[f.name] for f in fields(MassParams)}),
+            pot=PotentialParams(**{f.name: num[f.name] for f in fields(PotentialParams)}),
+            ordering=ordering,
         )
-        pot = PotentialParams(
-            r=merged["r"], a=merged["a"], b1=merged["b1"], b2=merged["b2"], b3=merged["b3"], b4=merged["b4"]
-        )
-        model = Model(hbar=merged["hbar"], mass=mass, pot=pot, ordering=ordering)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -154,50 +156,18 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(merged["scan_points"], int) or merged["scan_points"] < 100:
         raise ConfigError(f"scan_points must be an integer >= 100, got {merged['scan_points']!r}")
 
-    window = None
-    if merged["window"] is not None:
-        w = merged["window"]
-        if not isinstance(w, dict) or set(w) != {"lo", "hi"}:
-            raise ConfigError("'window' must be an object with keys lo, hi")
-        try:
-            window = EnergyWindow(_require_number(w, "lo"), _require_number(w, "hi"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    g = merged["grid"]
-    if not isinstance(g, dict) or set(g) != {"x0", "x1", "nx", "y0", "y1", "ny"}:
-        raise ConfigError("'grid' must be an object with keys x0, x1, nx, y0, y1, ny")
-    for key in ("nx", "ny"):
-        if not isinstance(g[key], int) or isinstance(g[key], bool):
-            raise ConfigError(f"field '{key}' must be an integer, got {g[key]!r}")
     try:
-        grid = oracle.Grid2D(
-            oracle.Grid1D(_require_number(g, "x0"), _require_number(g, "x1"), g["nx"]),
-            oracle.Grid1D(_require_number(g, "y0"), _require_number(g, "y1"), g["ny"]),
-        )
+        w = merged["window"]
+        window = None if w is None else EnergyWindow(**_object("window", w, {"lo": 0.0, "hi": 0.0}))
+        g = _object("grid", merged["grid"], DEFAULT_CONFIG["grid"])
+        grid = oracle.Grid2D(oracle.Grid1D(g["x0"], g["x1"], g["nx"]), oracle.Grid1D(g["y0"], g["y1"], g["ny"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    tols = _object("tolerances", merged["tolerances"], DEFAULT_CONFIG["tolerances"], leaf=_tolerance)
 
-    tols = merged["tolerances"]
-    if not isinstance(tols, dict) or set(tols) != {"root", "degeneracy", "quadrature"}:
-        raise ConfigError("'tolerances' must be an object with keys root, degeneracy, quadrature")
-    for k, v in tols.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-            raise ConfigError(f"tolerance '{k}' must be a positive number, got {v!r}")
-
-    effective = dict(merged)
-    effective["ordering"] = {k: float(ordering_raw[k]) for k in ("alpha", "beta", "gamma")}
     return RunConfig(
-        model=model,
-        variant=variant,
-        max_q=merged["max_q"],
-        window=window,
-        scan_points=merged["scan_points"],
-        grid=grid,
-        tol_root=float(tols["root"]),
-        tol_degeneracy=float(tols["degeneracy"]),
-        tol_quadrature=float(tols["quadrature"]),
-        raw=effective,
+        model, variant, merged["max_q"], window, merged["scan_points"], grid,
+        tol_root=tols["root"], tol_degeneracy=tols["degeneracy"], tol_quadrature=tols["quadrature"],
     )
 
 
@@ -221,12 +191,7 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    return f"{float(v):.17g}"
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -237,6 +202,8 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _resolve_window(cfg: RunConfig) -> EnergyWindow:
+    # Without the reducing ordering there is no condition for a window to bound.
+    require_reduction_ordering(cfg.model.ordering, "the self-consistency condition")
     return cfg.window if cfg.window is not None else energy_window(cfg.model)
 
 
@@ -391,7 +358,8 @@ def _verify_checks(cfg: RunConfig):
         if not chx.supports_bound_states:
             return "skipped: no bound support at r"
         top = m_max(chx)
-        xs = np.linspace(*oracle.auto_grid_1d(chx, n=2000).nodes()[[0, -1]], 4001)
+        grid = oracle.auto_grid_1d(chx)
+        xs = np.linspace(grid.x0, grid.x1, 4001)
         for mm in range(min(top, 4) + 1):
             st = energy_1d(chx, mm)
             vals = wavefunction_1d(chx, st, xs)
@@ -531,12 +499,12 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
         f"paper-printed {cmp.matches_pp}/{len(cmp.rows)}"
     )
 
-    for variant, label in ((Variant.FIRST_PRINCIPLES, "first-principles"), (Variant.PAPER_PRINTED, "paper-printed")):
-        quarters = [r for r in cmp.rows if r.e_ref == 0.25]
-        hits = [
-            r for r in quarters if (r.de_fp if variant is Variant.FIRST_PRINCIPLES else r.de_pp) < cmp.match_tol
-        ]
-        status = "reproduced" if len(hits) == len(quarters) and quarters else "not reproduced"
+    quarters = [r for r in cmp.rows if r.e_ref == 0.25]
+    for label, dists in (
+        ("first-principles", [r.de_fp for r in quarters]),
+        ("paper-printed", [r.de_pp for r in quarters]),
+    ):
+        status = "reproduced" if quarters and all(d < cmp.match_tol for d in dists) else "not reproduced"
         print(f"eight-fold cluster at 0.25 ({len(quarters)} ordered pairs + mirrors): {status} by {label}")
 
     inv = find_inversions([SimpleNamespace(m=r.m, n=r.n, energy=r.e_ref) for r in cmp.rows])
@@ -608,7 +576,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.variant is not None:
             cfg.variant = Variant(args.variant)
-            cfg.raw["variant"] = args.variant
 
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out)
@@ -618,9 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(cfg)
         if args.command == "compare-table":
             return cmd_compare_table(cfg, args.out)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, args.m, args.n)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_oracle(cfg, args.m, args.n)
     except (ConfigError, UnknownLevel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

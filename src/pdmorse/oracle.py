@@ -55,10 +55,9 @@ class Grid2D:
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues; the flag marks a 1D wall potential below the top level."""
+    """Ascending eigenvalues."""
 
     eigenvalues: np.ndarray
-    endpoint_below_level: bool = False
 
 
 def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
@@ -87,8 +86,7 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
         vals = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
-    ends = np.atleast_1d(np.asarray(potential(np.array([grid.x0, grid.x1])), dtype=float))
-    return EigenResult(np.asarray(vals, dtype=float), endpoint_below_level=float(np.min(ends)) < float(vals[-1]))
+    return EigenResult(np.asarray(vals, dtype=float))
 
 
 def _is_separable(potential, grid: Grid2D, rtol: float = 1e-10) -> bool:

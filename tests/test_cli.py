@@ -18,6 +18,66 @@ from pdmorse.cli import (
 from pdmorse.errors import ConfigError
 
 
+GRID = DEFAULT_CONFIG["grid"]
+TOLS = DEFAULT_CONFIG["tolerances"]
+ORDER = DEFAULT_CONFIG["ordering"]
+
+#: (config, exact ConfigError text), one fault each.
+BAD_CONFIGS = [
+    ([], "top-level config must be a JSON object"),
+    ("x", "top-level config must be a JSON object"),
+    ({"frobnicate": 1}, "unknown config keys: frobnicate"),
+    ({"hbar": None}, "field 'hbar' must be a number, got None"),
+    ({"hbar": True}, "field 'hbar' must be a number, got True"),
+    ({"m0": "1"}, "field 'm0' must be a number, got '1'"),
+    ({"b4": False}, "field 'b4' must be a number, got False"),
+    ({"m0": -1.0}, "m0 must be positive, got -1.0"),
+    ({"a1": 0}, "decay rates must be positive, got a1=0.0, a2=1.0"),
+    ({"g2": -0.1}, "g2 must be non-negative, got -0.1"),
+    ({"ordering": None}, "'ordering' must be an object with keys alpha, beta, gamma"),
+    ({"ordering": {"alpha": -0.5, "gamma": -0.5}}, "'ordering' must be an object with keys alpha, beta, gamma"),
+    ({"ordering": {**ORDER, "delta": 0}}, "'ordering' must be an object with keys alpha, beta, gamma"),
+    ({"ordering": {**ORDER, "alpha": None}}, "field 'alpha' must be a number, got None"),
+    ({"ordering": {**ORDER, "alpha": True}}, "field 'alpha' must be a number, got True"),
+    (
+        {"ordering": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0}},
+        "ordering exponents must satisfy alpha+beta+gamma=-1, got sum 0.0",
+    ),
+    ({"variant": "exact"}, "variant must be 'first-principles' or 'paper-printed', got 'exact'"),
+    ({"variant": None}, "variant must be 'first-principles' or 'paper-printed', got None"),
+    ({"max_q": -1}, "max_q must be a non-negative integer, got -1"),
+    ({"max_q": 2.0}, "max_q must be a non-negative integer, got 2.0"),
+    ({"max_q": True}, "max_q must be a non-negative integer, got True"),
+    ({"max_q": "3"}, "max_q must be a non-negative integer, got '3'"),
+    ({"scan_points": 50}, "scan_points must be an integer >= 100, got 50"),
+    ({"scan_points": 1000.0}, "scan_points must be an integer >= 100, got 1000.0"),
+    ({"scan_points": None}, "scan_points must be an integer >= 100, got None"),
+    ({"scan_points": True}, "scan_points must be an integer >= 100, got True"),
+    ({"window": 5}, "'window' must be an object with keys lo, hi"),
+    ({"window": {"lo": 0.0}}, "'window' must be an object with keys lo, hi"),
+    ({"window": {"lo": None, "hi": 1.0}}, "field 'lo' must be a number, got None"),
+    ({"window": {"lo": 0.0, "hi": False}}, "field 'hi' must be a number, got False"),
+    ({"window": {"lo": 1, "hi": 0}}, "need lo < hi, got [1.0, 0.0]"),
+    ({"window": {"lo": 0.5, "hi": 0.5}}, "need lo < hi, got [0.5, 0.5]"),
+    ({"grid": []}, "'grid' must be an object with keys x0, x1, nx, y0, y1, ny"),
+    ({"grid": dict(list(GRID.items())[:5])}, "'grid' must be an object with keys x0, x1, nx, y0, y1, ny"),
+    ({"grid": {**GRID, "nz": 41}}, "'grid' must be an object with keys x0, x1, nx, y0, y1, ny"),
+    ({"grid": {**GRID, "x1": None}}, "field 'x1' must be a number, got None"),
+    ({"grid": {**GRID, "nx": None}}, "field 'nx' must be an integer, got None"),
+    ({"grid": {**GRID, "nx": "41"}}, "field 'nx' must be an integer, got '41'"),
+    ({"grid": {**GRID, "ny": 41.9}}, "field 'ny' must be an integer, got 41.9"),
+    ({"grid": {**GRID, "nx": True}}, "field 'nx' must be an integer, got True"),
+    ({"grid": {**GRID, "nx": 10}}, "need at least 16 nodes, got 10"),
+    ({"grid": {**GRID, "x1": -3}}, "need x0 < x1, got [-2.0, -3.0]"),
+    ({"grid": {**GRID, "y0": "0"}}, "field 'y0' must be a number, got '0'"),
+    ({"tolerances": {"root": 1e-12}}, "'tolerances' must be an object with keys root, degeneracy, quadrature"),
+    ({"tolerances": {**TOLS, "root": 0}}, "tolerance 'root' must be a positive number, got 0"),
+    ({"tolerances": {**TOLS, "degeneracy": "1e-6"}}, "tolerance 'degeneracy' must be a positive number, got '1e-6'"),
+    ({"tolerances": {**TOLS, "quadrature": True}}, "tolerance 'quadrature' must be a positive number, got True"),
+    ({"tolerances": {**TOLS, "root": -1e-3}}, "tolerance 'root' must be a positive number, got -0.001"),
+]
+
+
 def run_main(*argv):
     return main(list(argv))
 
@@ -51,14 +111,27 @@ class TestConfig:
             config_from_dict({"ordering": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0}})
 
     def test_round_trip(self, tmp_path):
-        cfg = config_from_dict({"max_q": 3, "variant": "paper-printed"})
-        dumped = cfg.raw
+        data = {**DEFAULT_CONFIG, "max_q": 3, "variant": "paper-printed", "window": {"lo": -0.3, "hi": 0.9}}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dumped))
-        cfg2 = load_config(str(path))
-        assert cfg2.raw == dumped
-        assert cfg2.model == cfg.model
-        assert cfg2.variant == cfg.variant
+        path.write_text(json.dumps(data))
+        cfg = config_from_dict(data)
+        assert load_config(str(path)) == cfg
+        assert (cfg.max_q, cfg.variant.value, cfg.window.hi) == (3, "paper-printed", 0.9)
+
+    @pytest.mark.parametrize("bad, message", BAD_CONFIGS, ids=[json.dumps(bad) for bad, _ in BAD_CONFIGS])
+    def test_rejection_message(self, bad, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(bad)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"hbar": 2, "grid": {**GRID, "x0": -3}}, {"max_q": 0, "scan_points": 100}, {"window": {"lo": -1, "hi": 1}}],
+    )
+    def test_integers_accepted_where_numbers_are(self, data):
+        cfg = config_from_dict(data)
+        assert all(type(v) is float for v in (cfg.model.hbar, cfg.grid.x.x0, cfg.grid.y.x1, cfg.tol_root))
+        assert cfg.window is None or type(cfg.window.lo) is float
 
     @pytest.mark.parametrize(
         "bad",
@@ -299,21 +372,29 @@ class TestNonReducingOrdering:
     """Commands that solve the self-consistency condition refuse an ordering it does not exist for."""
 
     ORDERING = {"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}}
+    #: Nothing binds under this potential, so the ordering must be checked before the window.
+    FLAT_WINDOW = {"b1": 0, "b2": 0, "b3": 0, "b4": 0, "g1": 0, "g3": 0, **ORDERING}
 
     @pytest.mark.parametrize(
-        "argv, csv_name",
+        "data, argv, csv_name",
         [
-            (["spectrum"], "spectrum.csv"),
-            (["fields", "--which", "psi", "--m", "1", "--n", "2"], "field.csv"),
-            (["compare-table"], "table_compare.csv"),
-            (["oracle", "--m", "0", "--n", "0"], None),
-            (["fields", "--which", "ueff"], "field.csv"),
+            (ORDERING, ["spectrum"], "spectrum.csv"),
+            (ORDERING, ["fields", "--which", "psi", "--m", "1", "--n", "2"], "field.csv"),
+            (ORDERING, ["compare-table"], "table_compare.csv"),
+            (ORDERING, ["oracle", "--m", "0", "--n", "0"], None),
+            (ORDERING, ["fields", "--which", "ueff"], "field.csv"),
+            (FLAT_WINDOW, ["spectrum"], "spectrum.csv"),
+            (FLAT_WINDOW, ["fields", "--which", "psi", "--m", "0", "--n", "0"], "field.csv"),
+            (FLAT_WINDOW, ["oracle", "--m", "0", "--n", "0"], None),
         ],
-        ids=["spectrum", "fields-psi", "compare-table", "oracle", "fields-ueff"],
+        ids=[
+            "spectrum", "fields-psi", "compare-table", "oracle", "fields-ueff",
+            "flat-window-spectrum", "flat-window-fields-psi", "flat-window-oracle",
+        ],
     )
-    def test_exits_numeric(self, tmp_path, capsys, argv, csv_name):
+    def test_exits_numeric(self, tmp_path, capsys, data, argv, csv_name):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(self.ORDERING))
+        path.write_text(json.dumps(data))
         assert run_main("--config", str(path), "--out", str(tmp_path), *argv) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -54,13 +54,10 @@ class TestFdEigen1D:
     def test_particle_in_a_box(self):
         r = fd_eigen_1d(lambda x: np.zeros_like(x), Grid1D(0.0, math.pi, 2000), 3)
         assert np.allclose(r.eigenvalues, [1.0, 4.0, 9.0], atol=1e-3)
-        # Box endpoints sit below the levels; the post-hoc flag records that.
-        assert r.endpoint_below_level
 
     def test_harmonic_oscillator(self):
         r = fd_eigen_1d(lambda x: x**2, Grid1D(-12.0, 12.0, 4000), 3)
         assert np.allclose(r.eigenvalues, [1.0, 3.0, 5.0], atol=1e-4)
-        assert not r.endpoint_below_level
 
     def test_reference_morse_channel(self, paper_channel):
         # Closed forms give -2.25 and -0.25.  On the auto-sized domain the
