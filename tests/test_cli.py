@@ -246,6 +246,37 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert out.count("PASS") == 9
+        assert "PASS 1d-oracle: max relative eigenvalue error 4.16" in out
+
+    def test_shallow_level_passes_1d_oracle(self, tmp_path, capsys):
+        # The y channel's top level (eps = -0.0451, mu = 0.177) misses by
+        # 2.4e-4 relative on the n = 4000 grid alone; the Richardson value of
+        # that grid and its halved spacing misses by 2.3e-7.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"a2": 1.2, "g3": 0.8, "b3": -0.9, "g4": 0.05, "b4": 0.1}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 9
+        assert "PASS 1d-oracle: max relative eigenvalue error 2.3" in out
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_moved_closed_form_level_fails_1d_oracle(self, tmp_path, capsys, monkeypatch, level):
+        from dataclasses import replace
+
+        import pdmorse.cli
+
+        real = pdmorse.cli.energy_1d
+
+        def moved(ch, m):
+            state = real(ch, m)
+            return replace(state, epsilon=state.epsilon * (1.0 + 1e-3)) if m == level else state
+
+        monkeypatch.setattr(pdmorse.cli, "energy_1d", moved)
+        assert run_main("--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        # |E_fd - 1.001 eps| / |1.001 eps| = 1e-3 / 1.001.
+        assert "FAIL 1d-oracle: 1D oracle disagreement 9.990e-04" in out
+        assert "first failing check: 1d-oracle" in out
 
     def test_nonsolvable_ordering_fails_reduction(self, tmp_path, capsys, monkeypatch):
         import pdmorse.cli

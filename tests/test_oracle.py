@@ -118,6 +118,11 @@ class TestRandomizedOracleEquivalence:
                 assert abs(r.eigenvalues[m] - eps) / abs(eps) < 1e-4
 
 
+_MIXED = lambda X, Y: X**2 + Y**2 + X * Y + np.sin(X - 2.0 * Y)
+# Strong coupling: the separable minorant behind the Lanczos shift is loose.
+_COUPLED = lambda X, Y: 4.0 * (X - Y) ** 2 + 0.25 * (X + Y) ** 2
+
+
 class TestFdEigen2D:
     def test_box_modes(self):
         grid = Grid2D(Grid1D(0.0, math.pi, 201), Grid1D(0.0, math.pi, 201))
@@ -149,12 +154,24 @@ class TestFdEigen2D:
         with pytest.raises(ValueError):
             fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 2, method="separable")
 
-    @pytest.mark.parametrize("k", [1, 10])
-    def test_lanczos_matches_dense_nonseparable(self, k):
+    @pytest.mark.parametrize(
+        "u, k",
+        [
+            pytest.param(u, k, id=f"{name}{k}")
+            for name, u in (
+                ("", _MIXED),
+                ("coupled-", _COUPLED),
+                # The shift must not depend on the units of u.
+                ("milli-", lambda X, Y: 1e-3 * _MIXED(X, Y)),
+                ("kilo-", lambda X, Y: 1e3 * _MIXED(X, Y)),
+            )
+            for k in (1, 10)
+        ],
+    )
+    def test_lanczos_matches_dense_nonseparable(self, u, k):
         # The 5-point operator on 22 x 24 interior nodes with unequal
         # spacings, assembled node by node and solved densely.
         grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
-        u = lambda X, Y: X**2 + Y**2 + X * Y + np.sin(X - 2.0 * Y)
         x, y = grid.x.interior(), grid.y.interior()
         nx, ny = len(x), len(y)
         cx, cy = 1.0 / grid.x.h**2, 1.0 / grid.y.h**2
@@ -170,6 +187,29 @@ class TestFdEigen2D:
         dense = np.linalg.eigvalsh(a)[:k]
         lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - dense)) < 1e-10
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["separable", "coupled"])
+    def test_lanczos_shift_between_min_and_ground(self, reference_model, monkeypatch, coupled):
+        # min u < sigma < lam_1; for a separable u the Weyl bound is lam_1
+        # itself, so sigma sits a tenth of the way from lam_1 down to min u.
+        import scipy.sparse.linalg
+
+        from pdmorse import ueff_at
+
+        shifts = []
+        real = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: shifts.append(kw["sigma"]) or real(*a, **kw))
+        if coupled:
+            u = _COUPLED
+            grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
+        else:
+            u = lambda X, Y: 2.0 * ueff_at(reference_model, 0.0, X, Y)
+            grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
+        lam1 = fd_eigen_2d(u, grid, 1, method="lanczos").eigenvalues[0]
+        u_min = float(np.min(u(*np.meshgrid(grid.x.interior(), grid.y.interior()))))
+        assert u_min < shifts[0] < lam1
+        if not coupled:
+            assert lam1 - shifts[0] == pytest.approx(0.1 * (lam1 - u_min), rel=1e-9)
 
     def test_lanczos_handles_nonseparable(self):
         # Coupled oscillator: normal modes with frequencies sqrt(1 +/- 1/2);
