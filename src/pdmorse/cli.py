@@ -14,6 +14,7 @@ newlines so repeated runs are byte-identical.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -26,6 +27,8 @@ from .errors import (
     ConfigError,
     DegenerateWindow,
     EvaluationOverflow,
+    GridTooSmall,
+    InvalidLevel,
     NoBracket,
     NotConverged,
     OrderingNotSolvable,
@@ -55,7 +58,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INVARIANT = 3
 
-_NUMERIC_ERRORS = (NotConverged, NoBracket, EvaluationOverflow)
+_NUMERIC_ERRORS = (NotConverged, NoBracket, EvaluationOverflow, GridTooSmall)
 
 #: Example parameter set shipped as the default configuration.
 DEFAULT_CONFIG: dict = {
@@ -194,6 +197,13 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _csv_path(out_dir: str, name: str) -> str:
+    """Where a command writes its CSV; checked before the command computes anything."""
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir!r} is not an existing directory")
+    return f"{out_dir}/{name}"
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -209,7 +219,7 @@ def _resolve_window(cfg: RunConfig) -> EnergyWindow:
 
 def cmd_spectrum(cfg: RunConfig, out_dir: str = ".") -> int:
     """Enumerate the spectrum and write spectrum.csv plus a summary."""
-    path = f"{out_dir}/spectrum.csv"
+    path = _csv_path(out_dir, "spectrum.csv")
     header = ["m", "n", "E", "residual", "valid", "variant"]
     try:
         window = _resolve_window(cfg)
@@ -244,6 +254,7 @@ def cmd_fields(
     energy: float = 0.0,
 ) -> int:
     """Sample the requested field over the config grid into field.csv."""
+    path = _csv_path(out_dir, "field.csv")
     model = cfg.model
     xs = cfg.grid.x.nodes()
     ys = cfg.grid.y.nodes()
@@ -281,7 +292,6 @@ def cmd_fields(
         col = value(np.full_like(ys, x), ys)
         col = np.broadcast_to(col, ys.shape)
         rows.extend((float(x), float(y), float(v)) for y, v in zip(ys, col))
-    path = f"{out_dir}/field.csv"
     _write_csv(path, ["x", "y", "value"], rows)
     print(f"wrote {path} ({which}, {len(rows)} samples)")
     return EXIT_OK
@@ -344,7 +354,7 @@ def _verify_checks(cfg: RunConfig):
             if not ch.supports_bound_states:
                 continue
             top = m_max(ch)
-            grid = oracle.auto_grid_1d(ch, n=4000)
+            grid = oracle.auto_grid_1d(ch)
             # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
             # its h^2 term, which a shallow level's slow tail makes large.
             half = oracle.Grid1D(grid.x0, grid.x1, 2 * grid.n - 1)
@@ -481,6 +491,7 @@ def _is_reference_model(model: Model) -> bool:
 
 def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
     """Compare both variants against the bundled reference levels."""
+    path = _csv_path(out_dir, "table_compare.csv")
     if not _is_reference_model(cfg.model):
         raise ConfigError(
             "compare-table runs only on the reference parameter set the bundled "
@@ -489,7 +500,6 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
     window = _resolve_window(cfg)
     cmp = compare_table(cfg.model, window=window, scan_points=cfg.scan_points)
 
-    path = f"{out_dir}/table_compare.csv"
     _write_csv(
         path,
         ["m", "n", "E_ref", "E_fp", "dE_fp", "E_pp", "dE_pp", "match_fp", "match_pp"],
@@ -591,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare-table":
             return cmd_compare_table(cfg, args.out)
         return cmd_oracle(cfg, args.m, args.n)
-    except (ConfigError, UnknownLevel) as exc:
+    except (ConfigError, UnknownLevel, InvalidLevel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:

@@ -52,7 +52,7 @@ class MorseChannel:
 
 @dataclass(frozen=True)
 class Bound1D:
-    """One bound level: quantum number, energy, shape constants, L2 norm.
+    """One bound level: quantum number, energy, tail exponent mu, L2 norm.
 
     ``norm`` times :func:`wavefunction_1d` has unit L2 norm over the real line.
     """
@@ -60,8 +60,6 @@ class Bound1D:
     m: int
     epsilon: float
     mu: float
-    lam: float
-    z_scale: float
     norm: float
 
 
@@ -104,7 +102,7 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
     eps = float(_level_epsilon(ch, m))
     mu = math.sqrt(-eps) / ch.alpha
     log_norm2 = math.log(ch.alpha * 2.0 * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0)
-    return Bound1D(m=m, epsilon=eps, mu=mu, lam=ch.lam, z_scale=ch.z_scale, norm=math.exp(0.5 * log_norm2))
+    return Bound1D(m=m, epsilon=eps, mu=mu, norm=math.exp(0.5 * log_norm2))
 
 
 def _level_epsilon(ch: MorseChannel, m: int):
@@ -148,7 +146,7 @@ def wavefunction_1d(ch: MorseChannel, state: Bound1D, x):
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        z = state.z_scale * np.exp(-ch.alpha * x)
+        z = ch.z_scale * np.exp(-ch.alpha * x)
     zf = np.where(np.isfinite(z), z, 1.0)
     logz_cap = np.log(np.maximum(zf, 1.0))
     dead = ~np.isfinite(z) | (0.5 * zf - (state.mu + state.m) * logz_cap > -_EXP_UNDERFLOW)

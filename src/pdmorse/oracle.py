@@ -22,6 +22,13 @@ from .errors import EvaluationOverflow, GridTooSmall, NoBracket, NotConverged, U
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
 
+#: Relative mixed difference below which a 2D potential counts as separable.
+_SEPARABLE_RTOL = 1e-10
+#: oracle_energy_2d's equispaced trial energies over the window, and its final bracket width.
+_ORACLE_SCAN_POINTS, _ORACLE_TOL = 64, 1e-8
+#: Nodes of every auto_grid_1d grid.
+_AUTO_GRID_NODES = 4000
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -90,7 +97,7 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     return EigenResult(np.asarray(vals, dtype=float))
 
 
-def _is_separable(potential, grid: Grid2D, rtol: float = 1e-10) -> bool:
+def _is_separable(potential, grid: Grid2D) -> bool:
     """Probe f(x,y) - f(x,y0) - f(x0,y) + f(x0,y0) on a coarse sub-mesh."""
     xs = np.linspace(grid.x.x0, grid.x.x1, 5)
     ys = np.linspace(grid.y.x0, grid.y.x1, 5)
@@ -100,17 +107,17 @@ def _is_separable(potential, grid: Grid2D, rtol: float = 1e-10) -> bool:
     fy = np.asarray(potential(np.full_like(ys, xs[0]), ys), dtype=float)
     mixed = f - fx[None, :] - fy[:, None] + f[0, 0]
     scale = max(float(np.max(np.abs(f))), 1.0)
-    return bool(np.max(np.abs(mixed)) <= rtol * scale)
+    return bool(np.max(np.abs(mixed)) <= _SEPARABLE_RTOL * scale)
 
 
-def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenResult:
+def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     """Lowest k Dirichlet eigenvalues of -lap + U(x, y) on the grid.
 
     ``method='separable'`` forms 2D eigenvalues as sums of the two 1D spectra
-    (exact for the 5-point Laplacian when U is additively separable);
-    ``method='lanczos'`` assembles the sparse operator and runs shift-invert
-    ARPACK with a fixed start vector.  ``'auto'`` probes separability and
-    picks the cheap path when it applies.
+    (exact for the 5-point Laplacian when U is additively separable, which a
+    probe checks first); ``method='lanczos'`` assembles the sparse operator
+    and runs shift-invert ARPACK with a fixed start vector, for k below the
+    number of interior nodes.
 
     The Lanczos shift comes from a separable minorant: with
     u_x(x) = min_y u and u_y(y) = min_x (u - u_x), u >= u_x + u_y at every
@@ -130,24 +137,22 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str = "auto") -> EigenR
     if k > nx_int * ny_int:
         raise GridTooSmall(f"requested {k} levels but grid has {nx_int * ny_int} interior nodes")
 
-    if method not in ("auto", "separable", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "separable"):
-        separable = _is_separable(potential, grid)
-        if method == "separable" and not separable:
+    if method == "separable":
+        if not _is_separable(potential, grid):
             raise ValueError("potential failed the separability probe")
-        if separable:
-            y0 = grid.y.x0
-            x0 = grid.x.x0
-            c = float(np.atleast_1d(potential(np.array([x0]), np.array([y0])))[0])
-            ux = lambda xs: np.asarray(potential(xs, np.full_like(xs, y0)), dtype=float) - c
-            uy = lambda ys: np.asarray(potential(np.full_like(ys, x0), ys), dtype=float)
-            kx = min(k, nx_int)
-            ky = min(k, ny_int)
-            ex = fd_eigen_1d(ux, grid.x, kx).eigenvalues
-            ey = fd_eigen_1d(uy, grid.y, ky).eigenvalues
-            # kx * ky >= k, so the k lowest of all pairwise sums are the answer.
-            return EigenResult(np.sort(np.add.outer(ex, ey).ravel())[:k])
+        x0, y0 = grid.x.x0, grid.y.x0
+        c = float(np.atleast_1d(potential(np.array([x0]), np.array([y0])))[0])
+        ux = lambda xs: np.asarray(potential(xs, np.full_like(xs, y0)), dtype=float) - c
+        uy = lambda ys: np.asarray(potential(np.full_like(ys, x0), ys), dtype=float)
+        ex = fd_eigen_1d(ux, grid.x, min(k, nx_int)).eigenvalues
+        ey = fd_eigen_1d(uy, grid.y, min(k, ny_int)).eigenvalues
+        # min(k, nx) * min(k, ny) >= k, so the k lowest pairwise sums are the answer.
+        return EigenResult(np.sort(np.add.outer(ex, ey).ravel())[:k])
+    if method != "lanczos":
+        raise ValueError(f"unknown method {method!r}")
+    if k >= nx_int * ny_int:
+        # ARPACK finds at most N - 1 eigenvalues of an N x N operator.
+        raise GridTooSmall(f"Lanczos needs k below the grid's {nx_int * ny_int} interior nodes, got {k}")
 
     import scipy.sparse
     import scipy.sparse.linalg
@@ -194,8 +199,7 @@ def _level_defect(model: Model, m: int, n: int, grid: Grid2D, e: float) -> float
     return lam_m + lam_n - epsilon_of(model, e)
 
 
-def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: float = 1e-8,
-                     scan_points: int = 64) -> float:
+def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> float:
     """Self-consistent level (m, n) from finite differences alone.
 
     Solves G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 = 0 where lam are the
@@ -203,18 +207,18 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
     trial energy E.  G is strictly decreasing: gamma_i(E) = b_i + m0 (r - E) g_i
     with g_i >= 0, so each 1D potential is pointwise non-increasing in E and,
     by Courant-Fischer, so is every Dirichlet eigenvalue, while
-    2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The
-    ``scan_points`` equispaced nodes over the window therefore hold at most
-    one sign change, which a binary search over the nodes finds with
-    2 + ceil(log2(scan_points - 1)) evaluations; bisection then narrows that
-    cell to width tol and returns its midpoint.  An exact zero at a node is
-    returned as is; without a strict sign change the routine refuses to guess.
+    2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The 64
+    equispaced nodes over the window therefore hold at most one sign change,
+    which a binary search over the nodes finds with 2 + ceil(log2(63)) = 8
+    evaluations; bisection then narrows that cell to width 1e-8 and returns
+    its midpoint.  An exact zero at a node is returned as is; without a
+    strict sign change the routine refuses to guess.
     Raises OrderingNotSolvable unless the model's ordering is the reducing one.
     """
     require_reduction_ordering(model.ordering, "the per-axis reduced operators")
     g_of = lambda e: _level_defect(model, m, n, grid, e)
-    es = np.linspace(window.lo, window.hi, scan_points)
-    lo, hi = 0, scan_points - 1
+    es = np.linspace(window.lo, window.hi, _ORACLE_SCAN_POINTS)
+    lo, hi = 0, _ORACLE_SCAN_POINTS - 1
     g_lo = g_of(float(es[lo]))
     if g_lo == 0.0:
         return float(es[lo])
@@ -230,7 +234,7 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D, tol: fl
             lo, g_lo = mid, g_mid
         else:
             hi, g_hi = mid, g_mid
-    e_lo, e_hi, _, _ = _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, g_hi, tol)
+    e_lo, e_hi, _, _ = _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, g_hi, _ORACLE_TOL)
     return 0.5 * (e_lo + e_hi)
 
 
@@ -256,8 +260,8 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     return lo, hi, flo, fhi
 
 
-def auto_grid_1d(ch: MorseChannel, n: int = 4000) -> Grid1D:
-    """Domain sized so Dirichlet truncation sits far below discretization error.
+def auto_grid_1d(ch: MorseChannel) -> Grid1D:
+    """4000-node domain sized so Dirichlet truncation sits far below discretization error.
 
     Left wall where the repulsive core reaches ~100x the well depth (plus one
     decay length), right wall 7.5 tail e-foldings past the shallowest level's
@@ -274,7 +278,7 @@ def auto_grid_1d(ch: MorseChannel, n: int = 4000) -> Grid1D:
     # Outer turning point of the top level: |eta| e^{-ax} = |eps_top|.
     x_turn = math.log(-ch.eta / -state.epsilon) / ch.alpha if -state.epsilon < -ch.eta else 0.0
     x_right = x_turn + 7.5 / (mu_min * ch.alpha) + 2.0 / ch.alpha
-    return Grid1D(x_left, x_right, n)
+    return Grid1D(x_left, x_right, _AUTO_GRID_NODES)
 
 
 def minimize_potential(model: Model) -> tuple[float, float, float]:

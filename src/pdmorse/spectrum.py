@@ -38,21 +38,14 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class ValidityFlags:
-    support_x: bool
-    support_y: bool
+    """Whether level m of the x channel and level n of the y channel are bound."""
+
     level_x_allowed: bool
     level_y_allowed: bool
-    in_window: bool
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.support_x
-            and self.support_y
-            and self.level_x_allowed
-            and self.level_y_allowed
-            and self.in_window
-        )
+        return self.level_x_allowed and self.level_y_allowed
 
 
 @dataclass(frozen=True)
@@ -134,17 +127,14 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
     return f if np.ndim(f) else float(f)
 
 
-def validity_at(model: Model, window: EnergyWindow, m: int, n: int, e: float) -> ValidityFlags:
+def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
     """Recompute the bound-state validity flags at energy e."""
     chx, chy = channels_at(model, e)
     top_x = m_max(chx)
     top_y = m_max(chy)
     return ValidityFlags(
-        support_x=chx.supports_bound_states,
-        support_y=chy.supports_bound_states,
         level_x_allowed=top_x is not None and m <= top_x,
         level_y_allowed=top_y is not None and n <= top_y,
-        in_window=(window.lo - 1e-9) <= e <= (window.hi + 1e-9),
     )
 
 
@@ -198,7 +188,7 @@ def find_roots(
                 n=n,
                 energy=r,
                 residual=math.inf if math.isnan(fr) else abs(fr),
-                valid=validity_at(model, window, m, n, r),
+                valid=validity_at(model, m, n, r),
                 variant=variant,
             )
         )
@@ -223,13 +213,7 @@ def _mirror(entry: SpectrumEntry) -> SpectrumEntry:
         entry,
         m=entry.n,
         n=entry.m,
-        valid=ValidityFlags(
-            support_x=flags.support_y,
-            support_y=flags.support_x,
-            level_x_allowed=flags.level_y_allowed,
-            level_y_allowed=flags.level_x_allowed,
-            in_window=flags.in_window,
-        ),
+        valid=ValidityFlags(level_x_allowed=flags.level_y_allowed, level_y_allowed=flags.level_x_allowed),
     )
 
 
@@ -388,17 +372,13 @@ class TableComparison:
         return sum(r.match_pp for r in self.rows)
 
 
-def compare_table(
-    model: Model, window: EnergyWindow | None = None, scan_points: int = 2000
-) -> TableComparison:
+def compare_table(model: Model, window: EnergyWindow, scan_points: int = 2000) -> TableComparison:
     """Nearest-root distances of both variants against REFERENCE_LEVELS.
 
     Purely diagnostic: reports per-entry distances and per-variant match
     counts, and inventories quantum numbers that produced several roots.  It
     never asserts how many entries must match.
     """
-    if window is None:
-        window = energy_window(model)
     rows = []
     multi = []
     for m, n, e_ref in REFERENCE_LEVELS:

@@ -104,7 +104,7 @@ def test_criterion_04_oneD_oracle_equivalence():
     for ch in channels:
         top = m_max(ch)
         total_levels += top + 1
-        r = fd_eigen_1d(ch.potential, auto_grid_1d(ch, 4000), top + 2)
+        r = fd_eigen_1d(ch.potential, auto_grid_1d(ch), top + 2)
         assert int(np.sum(r.eigenvalues < 0)) == top + 1, f"level count mismatch for {ch}"
         for m in range(top + 1):
             eps = energy_1d(ch, m).epsilon

@@ -398,6 +398,44 @@ class TestOracleCommand:
         assert code == EXIT_NUMERIC
         assert "no sign change" in capsys.readouterr().err
 
+    def test_negative_quantum_number_exits_config_error(self, tmp_path, capsys):
+        assert run_main("--out", str(tmp_path), "oracle", "--m", "-1", "--n", "0") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quantum numbers must be non-negative, got (-1, 0)\n"
+
+    def test_level_beyond_grid_exits_numeric(self, tmp_path, capsys):
+        # Level 200 needs 201 eigenvalues of a 1D operator with 190 interior nodes.
+        assert run_main("--out", str(tmp_path), "oracle", "--m", "200", "--n", "0") == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: requested 201 levels but grid has 190 interior nodes\n"
+
+
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv, csv_name",
+        [
+            (["spectrum"], "spectrum.csv"),
+            (["fields", "--which", "psi", "--m", "0", "--n", "0"], "field.csv"),
+            (["compare-table"], "table_compare.csv"),
+        ],
+        ids=["spectrum", "fields", "compare-table"],
+    )
+    def test_exits_config_error_before_computing(self, tmp_path, capsys, monkeypatch, argv, csv_name):
+        import pdmorse.cli
+
+        def no_window(*args):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(pdmorse.cli, "energy_window", no_window)
+        missing = tmp_path / "no" / "such"
+        assert run_main("--out", str(missing), *argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {str(missing)!r} is not an existing directory\n"
+        assert not (tmp_path / "no").exists()
+
 
 class TestNonReducingOrdering:
     """Commands that solve the self-consistency condition refuse an ordering it does not exist for."""

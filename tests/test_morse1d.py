@@ -103,7 +103,7 @@ class TestEnergy1D:
         for ch in draw_supported_channels(31, 10, top_cap=4):
             for m in range(m_max(ch) + 1):
                 s = energy_1d(ch, m)
-                assert s.mu == pytest.approx(s.lam - m - 0.5, abs=1e-12)
+                assert s.mu == pytest.approx(ch.lam - m - 0.5, abs=1e-12)
                 assert s.epsilon == pytest.approx(-((ch.alpha * s.mu) ** 2), abs=1e-12)
 
 
@@ -158,7 +158,7 @@ class TestWavefunction:
         s1 = energy_1d(paper_channel, 1)
         # L_1^{2mu}(z) = 0 at z = 1 + 2 mu -> x = -ln((1+2mu)/z_scale)/a.
         z_node = 1.0 + 2.0 * s1.mu
-        x_node = -math.log(z_node / s1.z_scale) / paper_channel.alpha
+        x_node = -math.log(z_node / paper_channel.z_scale) / paper_channel.alpha
         left = wavefunction_1d(paper_channel, s1, x_node - 1e-3)
         right = wavefunction_1d(paper_channel, s1, x_node + 1e-3)
         assert left * right < 0.0

@@ -28,7 +28,7 @@ from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
 from tests.conftest import draw_supported_channels, supported_models
 
 
-def linear_scan_energy(model, m, n, window, grid, tol=1e-8, scan_points=64):
+def linear_scan_energy(model, m, n, window, grid, scan_points):
     """oracle_energy_2d as a linear scan over every node: the search reference."""
     g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
@@ -37,7 +37,7 @@ def linear_scan_energy(model, m, n, window, grid, tol=1e-8, scan_points=64):
         if vals[i] == 0.0:
             return float(es[i])
         if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, _, _ = oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], tol)
+            lo, hi, _, _ = oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], 1e-8)
             return 0.5 * (lo + hi)
     raise NoBracket("no sign change")
 
@@ -65,7 +65,7 @@ class TestFdEigen1D:
         # [-12, 40] domain is wastefully wide (h grows 2.4x) and lands at
         # 1.18e-4 relative on the top level, so it gets the honest bound.
         exact = [-2.25, -0.25]
-        r = fd_eigen_1d(paper_channel.potential, auto_grid_1d(paper_channel, 4000), 3)
+        r = fd_eigen_1d(paper_channel.potential, auto_grid_1d(paper_channel), 3)
         for lam, eps in zip(r.eigenvalues[:2], exact):
             assert abs(lam - eps) / abs(eps) < 1e-4
         assert int(np.sum(r.eigenvalues < 0)) == 2
@@ -111,7 +111,7 @@ class TestRandomizedOracleEquivalence:
         assert len(channels) >= 10
         for ch in channels:
             top = m_max(ch)
-            r = fd_eigen_1d(ch.potential, auto_grid_1d(ch, 4000), top + 2)
+            r = fd_eigen_1d(ch.potential, auto_grid_1d(ch), top + 2)
             assert int(np.sum(r.eigenvalues < 0)) == top + 1
             for m in range(top + 1):
                 eps = energy_1d(ch, m).epsilon
@@ -123,15 +123,32 @@ _MIXED = lambda X, Y: X**2 + Y**2 + X * Y + np.sin(X - 2.0 * Y)
 _COUPLED = lambda X, Y: 4.0 * (X - Y) ** 2 + 0.25 * (X + Y) ** 2
 
 
+def dense_eigenvalues(u, grid):
+    """All eigenvalues of the 5-point operator, assembled node by node and solved densely."""
+    x, y = grid.x.interior(), grid.y.interior()
+    nx, ny = len(x), len(y)
+    cx, cy = 1.0 / grid.x.h**2, 1.0 / grid.y.h**2
+    a = np.zeros((nx * ny, nx * ny))
+    for j in range(ny):
+        for i in range(nx):
+            p = j * nx + i
+            a[p, p] = 2.0 * cx + 2.0 * cy + u(x[i], y[j])
+            for q, c, inside in ((p - 1, cx, i > 0), (p + 1, cx, i < nx - 1),
+                                 (p - nx, cy, j > 0), (p + nx, cy, j < ny - 1)):
+                if inside:
+                    a[p, q] = -c
+    return np.linalg.eigvalsh(a)
+
+
 class TestFdEigen2D:
     def test_box_modes(self):
         grid = Grid2D(Grid1D(0.0, math.pi, 201), Grid1D(0.0, math.pi, 201))
-        r = fd_eigen_2d(lambda X, Y: np.zeros_like(X), grid, 1)
+        r = fd_eigen_2d(lambda X, Y: np.zeros_like(X), grid, 1, method="separable")
         assert abs(r.eigenvalues[0] - 2.0) < 5e-3
 
     def test_separable_oscillator(self):
         grid = Grid2D(Grid1D(-10.0, 10.0, 801), Grid1D(-10.0, 10.0, 801))
-        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 1)
+        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 1, method="separable")
         assert abs(r.eigenvalues[0] - 2.0) < 1e-3
 
     def test_separable_and_lanczos_agree(self, reference_model):
@@ -143,16 +160,27 @@ class TestFdEigen2D:
         lan = fd_eigen_2d(u, grid, 6, method="lanczos")
         assert np.max(np.abs(sep.eigenvalues - lan.eigenvalues)) < 1e-8
 
-    def test_auto_uses_separable_for_sums(self):
-        grid = Grid2D(Grid1D(-6.0, 6.0, 101), Grid1D(-6.0, 6.0, 101))
-        auto = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 4)
-        sep = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 4, method="separable")
-        assert np.array_equal(auto.eigenvalues, sep.eigenvalues)
-
     def test_separable_rejects_coupled_potential(self):
         grid = Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41))
         with pytest.raises(ValueError):
             fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 2, method="separable")
+
+    def test_unknown_method_rejected(self):
+        grid = Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41))
+        with pytest.raises(ValueError, match="unknown method 'auto'"):
+            fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 2, method="auto")
+
+    # 16 x 16 nodes leave 14 x 14 = 196 interior nodes.
+    ALL_NODES = Grid2D(Grid1D(-4.0, 4.0, 16), Grid1D(-4.0, 4.0, 16))
+
+    def test_separable_returns_every_level(self):
+        u = lambda X, Y: X**2 + Y**2
+        r = fd_eigen_2d(u, self.ALL_NODES, 196, method="separable")
+        assert np.max(np.abs(r.eigenvalues - dense_eigenvalues(u, self.ALL_NODES))) < 1e-10
+
+    def test_lanczos_refuses_every_level(self):
+        with pytest.raises(GridTooSmall, match="196 interior nodes"):
+            fd_eigen_2d(lambda X, Y: X**2 + Y**2, self.ALL_NODES, 196, method="lanczos")
 
     @pytest.mark.parametrize(
         "u, k",
@@ -169,22 +197,9 @@ class TestFdEigen2D:
         ],
     )
     def test_lanczos_matches_dense_nonseparable(self, u, k):
-        # The 5-point operator on 22 x 24 interior nodes with unequal
-        # spacings, assembled node by node and solved densely.
+        # 22 x 24 interior nodes with unequal spacings.
         grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
-        x, y = grid.x.interior(), grid.y.interior()
-        nx, ny = len(x), len(y)
-        cx, cy = 1.0 / grid.x.h**2, 1.0 / grid.y.h**2
-        a = np.zeros((nx * ny, nx * ny))
-        for j in range(ny):
-            for i in range(nx):
-                p = j * nx + i
-                a[p, p] = 2.0 * cx + 2.0 * cy + u(x[i], y[j])
-                for q, c, inside in ((p - 1, cx, i > 0), (p + 1, cx, i < nx - 1),
-                                     (p - nx, cy, j > 0), (p + nx, cy, j < ny - 1)):
-                    if inside:
-                        a[p, q] = -c
-        dense = np.linalg.eigvalsh(a)[:k]
+        dense = dense_eigenvalues(u, grid)[:k]
         lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - dense)) < 1e-10
 
@@ -215,7 +230,7 @@ class TestFdEigen2D:
         # Coupled oscillator: normal modes with frequencies sqrt(1 +/- 1/2);
         # ground energy is their average-sum sqrt(3/2) + sqrt(1/2).
         grid = Grid2D(Grid1D(-9.0, 9.0, 181), Grid1D(-9.0, 9.0, 181))
-        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 1)
+        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 1, method="lanczos")
         want = math.sqrt(1.5) + math.sqrt(0.5)
         assert abs(r.eigenvalues[0] - want) < 5e-3
 
@@ -252,26 +267,22 @@ class TestOracleEnergy2D:
             got = abs(oracle_energy_2d(reference_model, m, n, window, grid) - exact)
             assert got == pytest.approx(err, rel=5e-3), (m, n)
 
-    def test_zero_tolerance_terminates(self, reference_model, monkeypatch):
-        from pdmorse import oracle
-
+    def test_zero_tolerance_terminates(self, reference_model):
         window = EnergyWindow(-0.40692966918274637, 1.0)
         grid = Grid2D(Grid1D(-4.0, 12.0, 32), Grid1D(-4.0, 12.0, 32))
         e_tol = oracle_energy_2d(reference_model, 0, 0, window, grid)
-        # 64 scan points, then a bracket halves to a few float spacings in
-        # fewer than 64 steps; each G(E) costs two 1D eigensolves.
+        # The whole window halves to a few float spacings in fewer than 64 steps.
         calls = []
-        real = oracle.fd_eigen_1d
 
-        def capped(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > 2 * (64 + 64):
+        def capped(e):
+            calls.append(e)
+            if len(calls) > 64:
                 raise RuntimeError("bisection is not narrowing the bracket")
-            return real(*args, **kwargs)
+            return oracle._level_defect(reference_model, 0, 0, grid, e)
 
-        monkeypatch.setattr(oracle, "fd_eigen_1d", capped)
-        e = oracle_energy_2d(reference_model, 0, 0, window, grid, tol=0.0)
-        assert abs(e - e_tol) < 1e-8
+        lo, hi, _, _ = oracle._bisect(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
+        assert hi - lo <= 4.0 * np.finfo(float).eps
+        assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
 
     def test_no_bracket_refuses(self, reference_model):
         window = EnergyWindow(0.95, 1.0)
@@ -279,7 +290,8 @@ class TestOracleEnergy2D:
         with pytest.raises(NoBracket):
             oracle_energy_2d(reference_model, 0, 0, window, grid)
 
-    @pytest.mark.parametrize("scan_points", [17, 64, 100])
+    # oracle_energy_2d searches 64 nodes; the reference scans the same nodes.
+    @pytest.mark.parametrize("scan_points", [64])
     @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
     def test_node_search_matches_linear_scan(self, request, fixture, scan_points):
         # Bitwise: the search must land in the linear scan's cell, after which
@@ -288,23 +300,25 @@ class TestOracleEnergy2D:
         window = energy_window(model)
         for m, n in ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (4, 4)):
             args = (model, m, n, window, self.SEARCH_GRID)
-            want = outcome(linear_scan_energy, *args, scan_points=scan_points)
-            assert outcome(oracle_energy_2d, *args, scan_points=scan_points) == want, (m, n)
+            want = outcome(linear_scan_energy, *args, scan_points)
+            assert outcome(oracle_energy_2d, *args) == want, (m, n)
 
     @pytest.mark.parametrize(
-        "root, want", [(0.0, 0.0), (0.25, 0.25), (0.3, None), (1.0, NoBracket), (-0.5, NoBracket), (1.5, NoBracket)]
+        "root, want",
+        [(0.0, 0.0), (0.25, 0.25), (0.3, None), (0.984375, NoBracket), (1.0, NoBracket), (-0.5, NoBracket),
+         (1.5, NoBracket)],
     )
     def test_node_zeros_and_missing_brackets(self, reference_model, monkeypatch, root, want):
-        # G = root - E on the nodes k/16 of [0, 1]: an exact zero at a node is
-        # returned as that node; a zero only at the last node is no bracket.
+        # G = root - E on the 64 nodes k/64 of [0, 63/64]: an exact zero at a
+        # node is returned as that node; a zero only at the last node is no bracket.
         monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: root - e)
-        args = (reference_model, 0, 0, EnergyWindow(0.0, 1.0), self.SEARCH_GRID)
-        got = outcome(oracle_energy_2d, *args, scan_points=17)
-        assert got == outcome(linear_scan_energy, *args, scan_points=17)
+        args = (reference_model, 0, 0, EnergyWindow(0.0, 63.0 / 64.0), self.SEARCH_GRID)
+        got = outcome(oracle_energy_2d, *args)
+        assert got == outcome(linear_scan_energy, *args, 64)
         if want is not None:
             assert got == (want if want is NoBracket else want.hex())
 
-    @pytest.mark.parametrize("scan_points", [17, 64, 100])
+    @pytest.mark.parametrize("scan_points", [64])
     def test_scan_stage_is_logarithmic(self, reference_model, monkeypatch, scan_points):
         solves, before_bisect = [], []
         real_eigen, real_bisect = oracle.fd_eigen_1d, oracle._bisect
@@ -320,7 +334,7 @@ class TestOracleEnergy2D:
         monkeypatch.setattr(oracle, "fd_eigen_1d", counted)
         monkeypatch.setattr(oracle, "_bisect", bisect)
         window = energy_window(reference_model)
-        oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID, scan_points=scan_points)
+        oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID)
         # Each G(E) costs two 1D eigensolves.
         assert before_bisect and before_bisect[0] <= 2 * (2 + math.ceil(math.log2(scan_points - 1)))
 

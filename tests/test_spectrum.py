@@ -126,8 +126,8 @@ class TestDefectArrayPath:
                 fp = mismatch(model, Variant.FIRST_PRINCIPLES, m, n, es)
                 pp = mismatch(model, Variant.PAPER_PRINTED, m, n, es)
                 for e, f_fp, f_pp in zip(es.tolist(), fp.tolist(), pp.tolist()):
-                    v = validity_at(model, window, m, n, e)
-                    defined = v.support_x and v.support_y and v.level_x_allowed and v.level_y_allowed
+                    v = validity_at(model, m, n, e)
+                    defined = v.level_x_allowed and v.level_y_allowed
                     assert math.isnan(f_fp) != defined
                     if defined:
                         chx, chy = channels_at(model, e)
@@ -193,6 +193,17 @@ class TestFindRoots:
     def test_scan_points_floor(self, reference_model, window):
         with pytest.raises(ValueError):
             find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window, scan_points=50)
+
+    @given(drawn=supported_models())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_roots_inside_window(self, drawn):
+        # A root is a scan node or lies in a bracket between two of them.
+        model, window = drawn
+        for variant in Variant:
+            for m in range(4):
+                for n in range(4):
+                    for e in find_roots(model, variant, m, n, window):
+                        assert window.lo <= e.energy <= window.hi
 
 
 #: The six distinct first-principles levels of the reference model, frozen
@@ -289,7 +300,7 @@ class TestEnergyWindow:
 
 
 def _fake_entry(m, n, energy):
-    flags = ValidityFlags(True, True, True, True, True)
+    flags = ValidityFlags(True, True)
     return SpectrumEntry(
         m=m,
         n=n,
