@@ -256,8 +256,7 @@ def cmd_fields(
     """Sample the requested field over the config grid into field.csv."""
     path = _csv_path(out_dir, "field.csv")
     model = cfg.model
-    xs = cfg.grid.x.nodes()
-    ys = cfg.grid.y.nodes()
+    X, Y = np.meshgrid(cfg.grid.x.nodes(), cfg.grid.y.nodes(), indexing="ij")
 
     if which in ("chi", "psi"):
         if m is None or n is None:
@@ -276,22 +275,18 @@ def cmd_fields(
                 f"invalid {cfg.variant.value} roots: {roots}"
             )
         entry = valid[0]
-        fn = chi_mn if which == "chi" else psi_mn
-        value = lambda x, y: fn(model, entry, x, y)
+        vals = (chi_mn if which == "chi" else psi_mn)(model, entry, X, Y)
     elif which == "potential":
-        value = lambda x, y: potential_at(model, x, y)
+        vals = potential_at(model, X, Y)
     elif which == "mass":
-        value = lambda x, y: mass_at(model.mass, x, y)
+        vals = mass_at(model.mass, X, Y)
     elif which == "ueff":
-        value = lambda x, y: ueff_at(model, energy, x, y)
+        vals = ueff_at(model, energy, X, Y)
     else:
         raise ConfigError(f"unknown field {which!r}")
 
-    rows = []
-    for x in xs:
-        col = value(np.full_like(ys, x), ys)
-        col = np.broadcast_to(col, ys.shape)
-        rows.extend((float(x), float(y), float(v)) for y, v in zip(ys, col))
+    vals = np.broadcast_to(vals, X.shape)
+    rows = list(zip(X.ravel().tolist(), Y.ravel().tolist(), vals.ravel().tolist()))
     _write_csv(path, ["x", "y", "value"], rows)
     print(f"wrote {path} ({which}, {len(rows)} samples)")
     return EXIT_OK
@@ -498,7 +493,7 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
             "levels were published for"
         )
     window = _resolve_window(cfg)
-    cmp = compare_table(cfg.model, window=window, scan_points=cfg.scan_points)
+    cmp = compare_table(cfg.model, window=window, scan_points=cfg.scan_points, tol=cfg.tol_root)
 
     _write_csv(
         path,

@@ -2,14 +2,13 @@
 
 Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
-(tridiagonal bisection in 1D; in 2D, sums of the 1D spectra or shift-invert
-Lanczos shifted just below a separable lower bound on the lowest eigenvalue,
-the shifted operator assembled in one pass and factored once under a
-symmetric minimum-degree ordering), the potential minimum from a scan plus
-alternating golden-section refinement, and the self-consistent 2D energies
-from outer bisection on the finite-difference level sums.  Those sums minus
-the right-hand side decrease strictly in the trial energy, so a binary search
-over the scan nodes finds the one bracketing cell.
+(tridiagonal bisection in 1D; in 2D, shift-invert Lanczos shifted just below
+a separable lower bound on the lowest eigenvalue, the shifted operator
+assembled in one pass and factored once under a symmetric minimum-degree
+ordering), the potential minimum from a scan plus alternating golden-section
+refinement, and the self-consistent 2D energies from bisection on the
+finite-difference level sums, which minus the right-hand side decrease
+strictly in the trial energy.
 """
 
 import math
@@ -22,10 +21,8 @@ from .errors import EvaluationOverflow, GridTooSmall, NoBracket, NotConverged, U
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
 
-#: Relative mixed difference below which a 2D potential counts as separable.
-_SEPARABLE_RTOL = 1e-10
-#: oracle_energy_2d's equispaced trial energies over the window, and its final bracket width.
-_ORACLE_SCAN_POINTS, _ORACLE_TOL = 64, 1e-8
+#: oracle_energy_2d's final bracket width.
+_ORACLE_TOL = 1e-8
 #: Nodes of every auto_grid_1d grid.
 _AUTO_GRID_NODES = 4000
 
@@ -97,29 +94,14 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     return EigenResult(np.asarray(vals, dtype=float))
 
 
-def _is_separable(potential, grid: Grid2D) -> bool:
-    """Probe f(x,y) - f(x,y0) - f(x0,y) + f(x0,y0) on a coarse sub-mesh."""
-    xs = np.linspace(grid.x.x0, grid.x.x1, 5)
-    ys = np.linspace(grid.y.x0, grid.y.x1, 5)
-    X, Y = np.meshgrid(xs, ys)
-    f = np.asarray(potential(X, Y), dtype=float)
-    fx = np.asarray(potential(xs, np.full_like(xs, ys[0])), dtype=float)
-    fy = np.asarray(potential(np.full_like(ys, xs[0]), ys), dtype=float)
-    mixed = f - fx[None, :] - fy[:, None] + f[0, 0]
-    scale = max(float(np.max(np.abs(f))), 1.0)
-    return bool(np.max(np.abs(mixed)) <= _SEPARABLE_RTOL * scale)
-
-
 def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     """Lowest k Dirichlet eigenvalues of -lap + U(x, y) on the grid.
 
-    ``method='separable'`` forms 2D eigenvalues as sums of the two 1D spectra
-    (exact for the 5-point Laplacian when U is additively separable, which a
-    probe checks first); ``method='lanczos'`` assembles the sparse operator
-    and runs shift-invert ARPACK with a fixed start vector, for k below the
-    number of interior nodes.
+    Assembles the sparse 5-point operator and runs shift-invert ARPACK with a
+    fixed start vector, for k below the number of interior nodes.  ``method``
+    must be ``'lanczos'``, the only solver.
 
-    The Lanczos shift comes from a separable minorant: with
+    The shift comes from a separable minorant: with
     u_x(x) = min_y u and u_y(y) = min_x (u - u_x), u >= u_x + u_y at every
     node, so by Weyl's inequality lam_1(A) >= lower = lam_1(T_x + u_x) +
     lam_1(T_y + u_y), two k = 1 tridiagonal solves, with equality for a
@@ -133,23 +115,9 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    nx_int, ny_int = grid.x.n - 2, grid.y.n - 2
-    if k > nx_int * ny_int:
-        raise GridTooSmall(f"requested {k} levels but grid has {nx_int * ny_int} interior nodes")
-
-    if method == "separable":
-        if not _is_separable(potential, grid):
-            raise ValueError("potential failed the separability probe")
-        x0, y0 = grid.x.x0, grid.y.x0
-        c = float(np.atleast_1d(potential(np.array([x0]), np.array([y0])))[0])
-        ux = lambda xs: np.asarray(potential(xs, np.full_like(xs, y0)), dtype=float) - c
-        uy = lambda ys: np.asarray(potential(np.full_like(ys, x0), ys), dtype=float)
-        ex = fd_eigen_1d(ux, grid.x, min(k, nx_int)).eigenvalues
-        ey = fd_eigen_1d(uy, grid.y, min(k, ny_int)).eigenvalues
-        # min(k, nx) * min(k, ny) >= k, so the k lowest pairwise sums are the answer.
-        return EigenResult(np.sort(np.add.outer(ex, ey).ravel())[:k])
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
+    nx_int, ny_int = grid.x.n - 2, grid.y.n - 2
     if k >= nx_int * ny_int:
         # ARPACK finds at most N - 1 eigenvalues of an N x N operator.
         raise GridTooSmall(f"Lanczos needs k below the grid's {nx_int * ny_int} interior nodes, got {k}")
@@ -207,34 +175,23 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> floa
     trial energy E.  G is strictly decreasing: gamma_i(E) = b_i + m0 (r - E) g_i
     with g_i >= 0, so each 1D potential is pointwise non-increasing in E and,
     by Courant-Fischer, so is every Dirichlet eigenvalue, while
-    2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The 64
-    equispaced nodes over the window therefore hold at most one sign change,
-    which a binary search over the nodes finds with 2 + ceil(log2(63)) = 8
-    evaluations; bisection then narrows that cell to width 1e-8 and returns
-    its midpoint.  An exact zero at a node is returned as is; without a
-    strict sign change the routine refuses to guess.
+    2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The window
+    therefore holds at most one root, and bisection of the whole window to
+    width 1e-8 returns the midpoint of the final bracket.  An exact zero at
+    the lower edge is returned as is; without a strict sign change between
+    the edges the routine refuses to guess.
     Raises OrderingNotSolvable unless the model's ordering is the reducing one.
     """
     require_reduction_ordering(model.ordering, "the per-axis reduced operators")
     g_of = lambda e: _level_defect(model, m, n, grid, e)
-    es = np.linspace(window.lo, window.hi, _ORACLE_SCAN_POINTS)
-    lo, hi = 0, _ORACLE_SCAN_POINTS - 1
-    g_lo = g_of(float(es[lo]))
+    lo, hi = float(window.lo), float(window.hi)
+    g_lo = g_of(lo)
     if g_lo == 0.0:
-        return float(es[lo])
-    g_hi = g_of(float(es[hi]))
+        return lo
+    g_hi = g_of(hi)
     if not g_lo * g_hi < 0.0:
         raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        g_mid = g_of(float(es[mid]))
-        if g_mid == 0.0:
-            return float(es[mid])
-        if g_mid * g_lo > 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    e_lo, e_hi, _, _ = _bisect(g_of, float(es[lo]), float(es[hi]), g_lo, g_hi, _ORACLE_TOL)
+    e_lo, e_hi, _, _ = _bisect(g_of, lo, hi, g_lo, g_hi, _ORACLE_TOL)
     return 0.5 * (e_lo + e_hi)
 
 
@@ -268,11 +225,11 @@ def auto_grid_1d(ch: MorseChannel) -> Grid1D:
     outer turning point: the squared amplitude there is ~e^-15, well below the
     h^2 discretization error this resolution can reach.
     """
-    depth = ch.eta * ch.eta / (4.0 * ch.nu)
-    x_left = -math.log(100.0 * depth / ch.nu) / (2.0 * ch.alpha) - 1.0 / ch.alpha
     top = m_max(ch)
     if top is None:
         raise NoBracket("auto-sizing needs a channel with bound states")
+    depth = ch.eta * ch.eta / (4.0 * ch.nu)
+    x_left = -math.log(100.0 * depth / ch.nu) / (2.0 * ch.alpha) - 1.0 / ch.alpha
     state = energy_1d(ch, top)
     mu_min = max(state.mu, 0.05)
     # Outer turning point of the top level: |eta| e^{-ax} = |eps_top|.

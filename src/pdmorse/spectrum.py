@@ -372,7 +372,9 @@ class TableComparison:
         return sum(r.match_pp for r in self.rows)
 
 
-def compare_table(model: Model, window: EnergyWindow, scan_points: int = 2000) -> TableComparison:
+def compare_table(
+    model: Model, window: EnergyWindow, scan_points: int = 2000, tol: float = 1e-12
+) -> TableComparison:
     """Nearest-root distances of both variants against REFERENCE_LEVELS.
 
     Purely diagnostic: reports per-entry distances and per-variant match
@@ -384,7 +386,7 @@ def compare_table(model: Model, window: EnergyWindow, scan_points: int = 2000) -
     for m, n, e_ref in REFERENCE_LEVELS:
         nearest = {}
         for variant in (Variant.FIRST_PRINCIPLES, Variant.PAPER_PRINTED):
-            energies = [e.energy for e in find_roots(model, variant, m, n, window, scan_points)]
+            energies = [e.energy for e in find_roots(model, variant, m, n, window, scan_points, tol)]
             if len(energies) > 1:
                 multi.append((variant.value, m, n, tuple(energies)))
             if energies:

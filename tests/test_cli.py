@@ -372,6 +372,19 @@ class TestCompareTableCommand:
             assert r["match_pp"] in ("true", "false")
             float(r["dE_fp"])  # parses (finite or inf)
 
+    def test_uses_configured_root_tolerance(self, tmp_path):
+        # A coarse root tolerance moves E(0,0) by ~9e-8; the table must report
+        # the very roots that spectrum writes under the same config.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tolerances": {**TOLS, "root": 0.001}}))
+        for command in ("spectrum", "compare-table"):
+            assert run_main("--config", str(path), "--out", str(tmp_path), command) == EXIT_OK
+        spectrum = {(r["m"], r["n"]): r["E"] for r in read_csv(tmp_path / "spectrum.csv")}
+        found = [r for r in read_csv(tmp_path / "table_compare.csv") if r["E_fp"] != "nan"]
+        assert len(found) == 6
+        for r in found:
+            assert r["E_fp"] == spectrum[(r["m"], r["n"])], (r["m"], r["n"])
+
 
 class TestOracleCommand:
     def test_cross_check_ground_level(self, tmp_path, capsys):
@@ -383,8 +396,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize(
         "m, n, line",
         [
-            ("0", "0", "finite-difference energy (0,0): -0.20201608282615152"),
-            ("2", "1", "finite-difference energy (2,1): 0.32509889984102669"),
+            ("0", "0", "finite-difference energy (0,0): -0.20201607929040688"),
+            ("2", "1", "finite-difference energy (2,1): 0.32509889722041607"),
         ],
     )
     def test_default_config_energies_pinned(self, tmp_path, capsys, m, n, line):

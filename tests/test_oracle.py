@@ -10,6 +10,7 @@ from pdmorse import (
     Grid1D,
     Grid2D,
     GridTooSmall,
+    MorseChannel,
     NoBracket,
     OrderingNotSolvable,
     Unbounded,
@@ -29,7 +30,7 @@ from tests.conftest import draw_supported_channels, supported_models
 
 
 def linear_scan_energy(model, m, n, window, grid, scan_points):
-    """oracle_energy_2d as a linear scan over every node: the search reference."""
+    """A linear scan over the nodes, then bisection of the bracketing cell: the search reference."""
     g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
     vals = [g_of(float(e)) for e in es]
@@ -74,6 +75,11 @@ class TestFdEigen1D:
         for lam, eps in zip(wide.eigenvalues[:2], exact):
             assert abs(lam - eps) / abs(eps) < 2e-4
         assert int(np.sum(wide.eigenvalues < 0)) == 2
+
+    @pytest.mark.parametrize("eta, nu", [(-1.0, 0.0), (0.0, 1.0)], ids=["nu0", "eta0"])
+    def test_auto_grid_needs_bound_states(self, eta, nu):
+        with pytest.raises(NoBracket, match="channel with bound states"):
+            auto_grid_1d(MorseChannel(eta, nu, 1.0))
 
     def test_requesting_too_many_levels(self):
         with pytest.raises(GridTooSmall):
@@ -143,12 +149,12 @@ def dense_eigenvalues(u, grid):
 class TestFdEigen2D:
     def test_box_modes(self):
         grid = Grid2D(Grid1D(0.0, math.pi, 201), Grid1D(0.0, math.pi, 201))
-        r = fd_eigen_2d(lambda X, Y: np.zeros_like(X), grid, 1, method="separable")
+        r = fd_eigen_2d(lambda X, Y: np.zeros_like(X), grid, 1, method="lanczos")
         assert abs(r.eigenvalues[0] - 2.0) < 5e-3
 
     def test_separable_oscillator(self):
-        grid = Grid2D(Grid1D(-10.0, 10.0, 801), Grid1D(-10.0, 10.0, 801))
-        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 1, method="separable")
+        grid = Grid2D(Grid1D(-10.0, 10.0, 401), Grid1D(-10.0, 10.0, 401))
+        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 1, method="lanczos")
         assert abs(r.eigenvalues[0] - 2.0) < 1e-3
 
     def test_separable_and_lanczos_agree(self, reference_model):
@@ -156,27 +162,25 @@ class TestFdEigen2D:
 
         u = lambda X, Y: 2.0 * ueff_at(reference_model, 0.0, X, Y)
         grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
-        sep = fd_eigen_2d(u, grid, 6, method="separable")
+        # u is additively separable, so the 5-point spectrum is the sorted
+        # pairwise sums of the two 1D spectra of its restrictions to the walls.
+        x0, y0 = grid.x.x0, grid.y.x0
+        ux = lambda xs: u(xs, np.full_like(xs, y0)) - u(x0, y0)
+        uy = lambda ys: u(np.full_like(ys, x0), ys)
+        ex = fd_eigen_1d(ux, grid.x, 6).eigenvalues
+        ey = fd_eigen_1d(uy, grid.y, 6).eigenvalues
+        sums = np.sort(np.add.outer(ex, ey).ravel())[:6]
         lan = fd_eigen_2d(u, grid, 6, method="lanczos")
-        assert np.max(np.abs(sep.eigenvalues - lan.eigenvalues)) < 1e-8
-
-    def test_separable_rejects_coupled_potential(self):
-        grid = Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41))
-        with pytest.raises(ValueError):
-            fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 2, method="separable")
+        assert np.max(np.abs(sums - lan.eigenvalues)) < 1e-8
 
     def test_unknown_method_rejected(self):
         grid = Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41))
-        with pytest.raises(ValueError, match="unknown method 'auto'"):
-            fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 2, method="auto")
+        for method in ("auto", "separable"):
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 2, method=method)
 
     # 16 x 16 nodes leave 14 x 14 = 196 interior nodes.
     ALL_NODES = Grid2D(Grid1D(-4.0, 4.0, 16), Grid1D(-4.0, 4.0, 16))
-
-    def test_separable_returns_every_level(self):
-        u = lambda X, Y: X**2 + Y**2
-        r = fd_eigen_2d(u, self.ALL_NODES, 196, method="separable")
-        assert np.max(np.abs(r.eigenvalues - dense_eigenvalues(u, self.ALL_NODES))) < 1e-10
 
     def test_lanczos_refuses_every_level(self):
         with pytest.raises(GridTooSmall, match="196 interior nodes"):
@@ -290,18 +294,25 @@ class TestOracleEnergy2D:
         with pytest.raises(NoBracket):
             oracle_energy_2d(reference_model, 0, 0, window, grid)
 
-    # oracle_energy_2d searches 64 nodes; the reference scans the same nodes.
+    # The reference scans 64 nodes and bisects the one cell that brackets the root.
     @pytest.mark.parametrize("scan_points", [64])
     @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
     def test_node_search_matches_linear_scan(self, request, fixture, scan_points):
-        # Bitwise: the search must land in the linear scan's cell, after which
-        # bisection repeats the same evaluations.
+        # Both bisect a bracket of the one root to width 1e-8, so their
+        # midpoints lie within 1e-8 of each other, and G changes sign across E.
         model = request.getfixturevalue(fixture)
         window = energy_window(model)
         for m, n in ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (4, 4)):
             args = (model, m, n, window, self.SEARCH_GRID)
             want = outcome(linear_scan_energy, *args, scan_points)
-            assert outcome(oracle_energy_2d, *args) == want, (m, n)
+            got = outcome(oracle_energy_2d, *args)
+            if want is NoBracket:
+                assert got is NoBracket, (m, n)
+                continue
+            e = float.fromhex(got)
+            assert abs(e - float.fromhex(want)) <= 1e-8, (m, n)
+            g_of = lambda t: oracle._level_defect(model, m, n, self.SEARCH_GRID, t)
+            assert g_of(e - 1e-8) > 0.0 > g_of(e + 1e-8), (m, n)
 
     @pytest.mark.parametrize(
         "root, want",
@@ -309,34 +320,38 @@ class TestOracleEnergy2D:
          (1.5, NoBracket)],
     )
     def test_node_zeros_and_missing_brackets(self, reference_model, monkeypatch, root, want):
-        # G = root - E on the 64 nodes k/64 of [0, 63/64]: an exact zero at a
-        # node is returned as that node; a zero only at the last node is no bracket.
+        # G = root - E on [0, 63/64]: a zero at the lower edge is returned as
+        # is, a zero only at the upper edge is no bracket, and an interior
+        # root is bisected to within 1e-8, as the linear scan over the nodes
+        # k/64 does.
         monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: root - e)
         args = (reference_model, 0, 0, EnergyWindow(0.0, 63.0 / 64.0), self.SEARCH_GRID)
         got = outcome(oracle_energy_2d, *args)
-        assert got == outcome(linear_scan_energy, *args, 64)
-        if want is not None:
-            assert got == (want if want is NoBracket else want.hex())
+        ref = outcome(linear_scan_energy, *args, 64)
+        if want is NoBracket:
+            assert got is NoBracket and ref is NoBracket
+        elif root == 0.0:
+            assert got == ref == want.hex()
+        else:
+            assert abs(float.fromhex(got) - root) <= 0.5e-8
+            assert abs(float.fromhex(got) - float.fromhex(ref)) <= 1e-8
 
-    @pytest.mark.parametrize("scan_points", [64])
-    def test_scan_stage_is_logarithmic(self, reference_model, monkeypatch, scan_points):
-        solves, before_bisect = [], []
-        real_eigen, real_bisect = oracle.fd_eigen_1d, oracle._bisect
+    def test_bisection_count_is_logarithmic(self, reference_model, monkeypatch):
+        solves = []
+        real_eigen = oracle.fd_eigen_1d
 
         def counted(*args, **kwargs):
             solves.append(1)
             return real_eigen(*args, **kwargs)
 
-        def bisect(*args, **kwargs):
-            before_bisect.append(len(solves))
-            return real_bisect(*args, **kwargs)
-
         monkeypatch.setattr(oracle, "fd_eigen_1d", counted)
-        monkeypatch.setattr(oracle, "_bisect", bisect)
         window = energy_window(reference_model)
         oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID)
-        # Each G(E) costs two 1D eigensolves.
-        assert before_bisect and before_bisect[0] <= 2 * (2 + math.ceil(math.log2(scan_points - 1)))
+        # Two edges, then one G(E) per halving down to width 1e-8; each G(E)
+        # costs two 1D eigensolves.
+        evals = 2 + math.ceil(math.log2((window.hi - window.lo) / 1e-8))
+        assert evals == 30
+        assert len(solves) == 2 * evals
 
     def test_bisect_returns_final_bracket(self):
         f = lambda x: x - 0.3
@@ -358,7 +373,7 @@ class TestOracleEnergy2D:
     @given(drawn=supported_models())
     @settings(max_examples=15, deadline=None, derandomize=True)
     def test_defect_strictly_decreasing(self, drawn):
-        # The premise of the node search: at most one sign change over the nodes.
+        # The premise of the bisection: at most one root in the window.
         model, window = drawn
         es = np.linspace(window.lo, window.hi, 64)
         for m, n in ((0, 0), (2, 1)):
