@@ -396,8 +396,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize(
         "m, n, line",
         [
-            ("0", "0", "finite-difference energy (0,0): -0.20201607929040688"),
-            ("2", "1", "finite-difference energy (2,1): 0.32509889722041607"),
+            ("0", "0", "finite-difference energy (0,0): -0.2020160822829784"),
+            ("2", "1", "finite-difference energy (2,1): 0.32509889909050038"),
         ],
     )
     def test_default_config_energies_pinned(self, tmp_path, capsys, m, n, line):

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 
 from pdmorse import (
     EnergyWindow,
+    EvaluationOverflow,
     Grid1D,
     Grid2D,
     GridTooSmall,
+    InvalidLevel,
     MorseChannel,
     NoBracket,
     OrderingNotSolvable,
     Unbounded,
     auto_grid_1d,
+    channels_at,
     energy_1d,
     energy_window,
     fd_eigen_1d,
@@ -230,6 +233,15 @@ class TestFdEigen2D:
         if not coupled:
             assert lam1 - shifts[0] == pytest.approx(0.1 * (lam1 - u_min), rel=1e-9)
 
+    def test_overflow_reports_offending_node(self):
+        # Non-finite only at the node (2, 1) of a 41^2 grid over [-4, 4]^2.
+        grid = Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41))
+        u = lambda X, Y: np.where(np.hypot(X - 2.0, Y - 1.0) < 0.05, np.inf, X**2 + Y**2)
+        with pytest.raises(EvaluationOverflow) as exc:
+            fd_eigen_2d(u, grid, 1, method="lanczos")
+        assert exc.value.x == pytest.approx(2.0, abs=1e-12)
+        assert exc.value.y == pytest.approx(1.0, abs=1e-12)
+
     def test_lanczos_handles_nonseparable(self):
         # Coupled oscillator: normal modes with frequencies sqrt(1 +/- 1/2);
         # ground energy is their average-sum sqrt(3/2) + sqrt(1/2).
@@ -275,18 +287,19 @@ class TestOracleEnergy2D:
         window = EnergyWindow(-0.40692966918274637, 1.0)
         grid = Grid2D(Grid1D(-4.0, 12.0, 32), Grid1D(-4.0, 12.0, 32))
         e_tol = oracle_energy_2d(reference_model, 0, 0, window, grid)
-        # The whole window halves to a few float spacings in fewer than 64 steps.
-        calls = []
+        # The whole window narrows to a few float spacings in fewer than 64 steps.
+        for search in (oracle._bisect, oracle._itp):
+            calls = []
 
-        def capped(e):
-            calls.append(e)
-            if len(calls) > 64:
-                raise RuntimeError("bisection is not narrowing the bracket")
-            return oracle._level_defect(reference_model, 0, 0, grid, e)
+            def capped(e):
+                calls.append(e)
+                if len(calls) > 64:
+                    raise RuntimeError(f"{search.__name__} is not narrowing the bracket")
+                return oracle._level_defect(reference_model, 0, 0, grid, e)
 
-        lo, hi, _, _ = oracle._bisect(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
-        assert hi - lo <= 4.0 * np.finfo(float).eps
-        assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
+            lo, hi, _, _ = search(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
+            assert hi - lo <= 4.0 * np.finfo(float).eps
+            assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
 
     def test_no_bracket_refuses(self, reference_model):
         window = EnergyWindow(0.95, 1.0)
@@ -336,31 +349,117 @@ class TestOracleEnergy2D:
             assert abs(float.fromhex(got) - root) <= 0.5e-8
             assert abs(float.fromhex(got) - float.fromhex(ref)) <= 1e-8
 
-    def test_bisection_count_is_logarithmic(self, reference_model, monkeypatch):
-        solves = []
-        real_eigen = oracle.fd_eigen_1d
+    @staticmethod
+    def counting_defect(monkeypatch):
+        """Count G(E) evaluations, and the 1D solves behind them, of oracle_energy_2d."""
+        counts = {"g": 0, "levels": 0, "fd_eigen_1d": 0}
+        real_defect, real_levels, real_eigen = oracle._level_defect, oracle._dirichlet_levels, oracle.fd_eigen_1d
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return real_eigen(*args, **kwargs)
+        def tally(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(oracle, "fd_eigen_1d", counted)
+        monkeypatch.setattr(oracle, "_level_defect", tally("g", real_defect))
+        monkeypatch.setattr(oracle, "_dirichlet_levels", tally("levels", real_levels))
+        monkeypatch.setattr(oracle, "fd_eigen_1d", tally("fd_eigen_1d", real_eigen))
+        return counts
+
+    def test_itp_count_on_reference_ground(self, reference_model, monkeypatch):
+        counts = self.counting_defect(monkeypatch)
         window = energy_window(reference_model)
         oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID)
-        # Two edges, then one G(E) per halving down to width 1e-8; each G(E)
-        # costs two 1D eigensolves.
-        evals = 2 + math.ceil(math.log2((window.hi - window.lo) / 1e-8))
-        assert evals == 30
-        assert len(solves) == 2 * evals
+        # Bisection would take 2 + ceil(log2((hi - lo)/1e-8)) = 30 evaluations
+        # and ITP at most one more; on this smooth G it takes 9.
+        bisection = 2 + math.ceil(math.log2((window.hi - window.lo) / 1e-8))
+        assert bisection == 30
+        assert counts["g"] == 9
+        # Each G(E) solves for one eigenvalue per axis, not through fd_eigen_1d.
+        assert counts["levels"] == 2 * counts["g"]
+        assert counts["fd_eigen_1d"] == 0
+
+    def test_readme_itp_counts(self, reference_model, monkeypatch):
+        # README: on 192^2 over [-4, 12] the six distinct reference levels
+        # take these many G(E) evaluations, the two edges included.
+        counts = self.counting_defect(monkeypatch)
+        window = energy_window(reference_model)
+        grid = Grid2D(Grid1D(-4.0, 12.0, 192), Grid1D(-4.0, 12.0, 192))
+        stated = {(0, 0): 9, (0, 1): 10, (1, 1): 11, (1, 2): 9, (2, 2): 10, (3, 3): 10}
+        got = {}
+        for m, n in stated:
+            counts["g"] = 0
+            oracle_energy_2d(reference_model, m, n, window, grid)
+            got[(m, n)] = counts["g"]
+        assert got == stated
+
+    @pytest.mark.parametrize("root", [-0.39, -0.2, 0.123456789, 0.3, 0.9303059046593121, 0.99])
+    @pytest.mark.parametrize("upper", [1.001, 10.0, 1000.0])
+    def test_itp_bound_when_interpolation_is_useless(self, reference_model, monkeypatch, root, upper):
+        # A step of width 1e-12 from 1 down to 1 - upper: the regula-falsi
+        # point sits near the edge of smaller |G|, far from the root, so only
+        # the projection bounds the search.  It may take one evaluation more
+        # than bisection, never two, and still lands within half the width.
+        width = 1e-12
+        g = lambda e: 1.0 - upper * 0.5 * (1.0 + math.tanh((e - root) / width))
+        exact = root + width * math.atanh(2.0 / upper - 1.0)
+        evals = []
+        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: evals.append(e) or g(e))
+        window = EnergyWindow(-0.40692966918274637, 1.0)
+        e = oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID)
+        assert len(evals) <= 2 + math.ceil(math.log2((window.hi - window.lo) / 1e-8)) + 1
+        assert abs(e - exact) <= 0.5e-8
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_itp_probes_only_new_points(self, tol):
+        # Once regula falsi has converged on a smooth f, the truncation step
+        # falls below a float spacing and the probe rounds onto the bracket
+        # edge; probing there again would learn nothing.  Every probe is a new
+        # point strictly inside the bracket, and the final bracket holds the root.
+        f = lambda x: 1.0 - 5.0 * (1.0 + math.tanh((x + 1.31) / 0.1))
+        root = -1.31 + 0.1 * math.atanh(-0.8)
+        probes = []
+        g = lambda x: probes.append(x) or f(x)
+        lo, hi, _, _ = oracle._itp(g, -1.68, -0.86, f(-1.68), f(-0.86), tol)
+        assert len(set(probes)) == len(probes)
+        assert all(-1.68 < x < -0.86 for x in probes)
+        assert lo <= root <= hi and hi - lo <= tol
+        assert len(probes) <= math.ceil(math.log2(0.82 / tol)) + 1
+
+    @pytest.mark.parametrize("energy", [-0.3, 0.0, 0.5])
+    def test_single_index_matches_fd_eigen_1d(self, reference_model, asymmetric_model, energy):
+        # The one-eigenvalue solve behind G(E) against the lowest-k solve, on
+        # both axes of both models on the two grids the tests use.  Sturm
+        # bisection stops each eigenvalue within eps ||T|| (LAPACK dstebz's
+        # default absolute tolerance), 6.6e-14 to 1.8e-12 here, so the two
+        # solves may differ by that much: up to 5.0e-13 on these cases.
+        grids = (self.SEARCH_GRID.x, Grid1D(-4.0, 12.0, 192))
+        for model in (reference_model, asymmetric_model):
+            for ch in channels_at(model, energy):
+                for grid in grids:
+                    inv_h2 = 1.0 / grid.h**2
+                    norm = float(np.max(np.abs(2.0 * inv_h2 + ch.potential(grid.interior())) + 2.0 * inv_h2))
+                    lowest = fd_eigen_1d(ch.potential, grid, 6).eigenvalues
+                    for j in range(6):
+                        single = oracle._dirichlet_levels(ch.potential, grid, j, j)
+                        assert single.shape == (1,)
+                        assert abs(single[0] - lowest[j]) <= np.finfo(float).eps * norm, (j, grid.n)
+
+    @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])
+    def test_negative_quantum_number_is_invalid_level(self, reference_model, m, n):
+        with pytest.raises(InvalidLevel, match=rf"quantum numbers must be non-negative, got \({m}, {n}\)"):
+            oracle_energy_2d(reference_model, m, n, EnergyWindow(-0.4, 1.0), self.SEARCH_GRID)
 
     def test_bisect_returns_final_bracket(self):
-        f = lambda x: x - 0.3
-        lo, hi, flo, fhi = oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
-        assert lo < 0.3 < hi and hi - lo <= 1e-6
-        assert (flo, fhi) == (f(lo), f(hi))
-        # The first midpoint is an exact zero.
-        f = lambda x: x - 0.5
-        assert oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
+        # The bisection contract, which the ITP search keeps.
+        for search in (oracle._bisect, oracle._itp):
+            f = lambda x: x - 0.3
+            lo, hi, flo, fhi = search(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
+            assert lo < 0.3 < hi and hi - lo <= 1e-6
+            assert (flo, fhi) == (f(lo), f(hi))
+            # The first probe, the midpoint, is an exact zero.
+            f = lambda x: x - 0.5
+            assert search(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
 
     def test_bisect_keeps_defined_side(self):
         # Undefined on [0.6, 1): the bracket closes on the edge of the defined
