@@ -223,11 +223,12 @@ def _itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     within the distance of the midpoint that still lets the bracket reach tol
     in n0 = 1 probe more than bisection.  So it never takes more than
     ceil(log2((hi - lo)/tol)) + 1 probes, and on a smooth f it converges
-    superlinearly.  Same contract as _bisect for an f defined on the whole
-    bracket: returns the final bracket and its end values (lo, hi, flo, fhi),
-    stops at width tol but never below a few float spacings of the bracket,
-    so tol = 0 terminates too, and an exact zero at a probe x returns
-    (x, x, 0, 0).
+    superlinearly.  Returns the final bracket and its end values
+    (lo, hi, flo, fhi), stops at width tol but never below a few float
+    spacings of the bracket, so tol = 0 terminates too, and an exact zero at
+    a probe x returns (x, x, 0, 0).  Where f is NaN (undefined) the probe
+    replaces hi, keeping the defined lower side, and fhi is then NaN; while
+    it is, each probe is the midpoint, so the bound on probes still holds.
     """
     spacing = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     width_floor = max(tol, spacing)
@@ -246,40 +247,19 @@ def _itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
         # a margin that rounding cannot use up.
         r = max(math.ldexp(width_floor - spacing, left) - 0.5 * width, 0.0)
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        if not lo < x < hi:
-            # A truncation step below a float spacing rounded the probe onto
+        if math.isnan(fhi) or not lo < x < hi:
+            # Past a NaN probe there is nothing to interpolate from; otherwise
+            # a truncation step below a float spacing rounded the probe onto
             # an edge, where it would learn nothing.
             x = mid
         fx = f(x)
         if fx == 0.0:
             return x, x, fx, fx
-        if flo * fx < 0.0:
+        if flo * fx < 0.0 or math.isnan(fx):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
         left -= 1
-    return lo, hi, flo, fhi
-
-
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
-    """Bisection of a bracket [lo, hi] whose ends flo = f(lo), fhi = f(hi) differ in sign.
-
-    Returns the final bracket and its end values (lo, hi, flo, fhi).  Stops at
-    width tol, but never below a few float spacings of the bracket, so tol = 0
-    terminates too; an exact zero at a midpoint returns (mid, mid, 0, 0).
-    Where f is NaN (undefined) the midpoint replaces hi, keeping the defined
-    lower side, and fhi is then NaN.
-    """
-    width_floor = max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-    while hi - lo > width_floor:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid, fm, fm
-        if flo * fm < 0.0 or math.isnan(fm):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
     return lo, hi, flo, fhi
 
 

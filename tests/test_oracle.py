@@ -33,7 +33,7 @@ from tests.conftest import draw_supported_channels, supported_models
 
 
 def linear_scan_energy(model, m, n, window, grid, scan_points):
-    """A linear scan over the nodes, then bisection of the bracketing cell: the search reference."""
+    """A linear scan over the nodes, then an ITP search of the bracketing cell: the search reference."""
     g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
     es = np.linspace(window.lo, window.hi, scan_points)
     vals = [g_of(float(e)) for e in es]
@@ -41,7 +41,7 @@ def linear_scan_energy(model, m, n, window, grid, scan_points):
         if vals[i] == 0.0:
             return float(es[i])
         if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, _, _ = oracle._bisect(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], 1e-8)
+            lo, hi, _, _ = oracle._itp(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], 1e-8)
             return 0.5 * (lo + hi)
     raise NoBracket("no sign change")
 
@@ -288,18 +288,17 @@ class TestOracleEnergy2D:
         grid = Grid2D(Grid1D(-4.0, 12.0, 32), Grid1D(-4.0, 12.0, 32))
         e_tol = oracle_energy_2d(reference_model, 0, 0, window, grid)
         # The whole window narrows to a few float spacings in fewer than 64 steps.
-        for search in (oracle._bisect, oracle._itp):
-            calls = []
+        calls = []
 
-            def capped(e):
-                calls.append(e)
-                if len(calls) > 64:
-                    raise RuntimeError(f"{search.__name__} is not narrowing the bracket")
-                return oracle._level_defect(reference_model, 0, 0, grid, e)
+        def capped(e):
+            calls.append(e)
+            if len(calls) > 64:
+                raise RuntimeError("_itp is not narrowing the bracket")
+            return oracle._level_defect(reference_model, 0, 0, grid, e)
 
-            lo, hi, _, _ = search(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
-            assert hi - lo <= 4.0 * np.finfo(float).eps
-            assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
+        lo, hi, _, _ = oracle._itp(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
+        assert hi - lo <= 4.0 * np.finfo(float).eps
+        assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
 
     def test_no_bracket_refuses(self, reference_model):
         window = EnergyWindow(0.95, 1.0)
@@ -307,11 +306,11 @@ class TestOracleEnergy2D:
         with pytest.raises(NoBracket):
             oracle_energy_2d(reference_model, 0, 0, window, grid)
 
-    # The reference scans 64 nodes and bisects the one cell that brackets the root.
+    # The reference scans 64 nodes and searches the one cell that brackets the root.
     @pytest.mark.parametrize("scan_points", [64])
     @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
     def test_node_search_matches_linear_scan(self, request, fixture, scan_points):
-        # Both bisect a bracket of the one root to width 1e-8, so their
+        # Both narrow a bracket of the one root to width 1e-8, so their
         # midpoints lie within 1e-8 of each other, and G changes sign across E.
         model = request.getfixturevalue(fixture)
         window = energy_window(model)
@@ -335,7 +334,7 @@ class TestOracleEnergy2D:
     def test_node_zeros_and_missing_brackets(self, reference_model, monkeypatch, root, want):
         # G = root - E on [0, 63/64]: a zero at the lower edge is returned as
         # is, a zero only at the upper edge is no bracket, and an interior
-        # root is bisected to within 1e-8, as the linear scan over the nodes
+        # root is narrowed to within 1e-8, as the linear scan over the nodes
         # k/64 does.
         monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: root - e)
         args = (reference_model, 0, 0, EnergyWindow(0.0, 63.0 / 64.0), self.SEARCH_GRID)
@@ -450,29 +449,39 @@ class TestOracleEnergy2D:
         with pytest.raises(InvalidLevel, match=rf"quantum numbers must be non-negative, got \({m}, {n}\)"):
             oracle_energy_2d(reference_model, m, n, EnergyWindow(-0.4, 1.0), self.SEARCH_GRID)
 
-    def test_bisect_returns_final_bracket(self):
-        # The bisection contract, which the ITP search keeps.
-        for search in (oracle._bisect, oracle._itp):
-            f = lambda x: x - 0.3
-            lo, hi, flo, fhi = search(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
-            assert lo < 0.3 < hi and hi - lo <= 1e-6
-            assert (flo, fhi) == (f(lo), f(hi))
-            # The first probe, the midpoint, is an exact zero.
-            f = lambda x: x - 0.5
-            assert search(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
+    def test_itp_returns_final_bracket(self):
+        f = lambda x: x - 0.3
+        lo, hi, flo, fhi = oracle._itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
+        assert lo < 0.3 < hi and hi - lo <= 1e-6
+        assert (flo, fhi) == (f(lo), f(hi))
+        # The first probe, the midpoint, is an exact zero.
+        f = lambda x: x - 0.5
+        assert oracle._itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
 
-    def test_bisect_keeps_defined_side(self):
-        # Undefined on [0.6, 1): the bracket closes on the edge of the defined
-        # side, and its upper value is NaN.
-        f = lambda x: x - 0.8 if x < 0.6 or x == 1.0 else math.nan
-        lo, hi, flo, fhi = oracle._bisect(f, 0.0, 1.0, f(0.0), f(1.0), 1e-9)
-        assert lo < 0.6 <= hi and hi - lo <= 1e-9
+    @pytest.mark.parametrize("edge", [0.3, 0.6, 0.75])
+    def test_itp_keeps_defined_side(self, edge):
+        # Undefined on [edge, 1), below the root 0.8 of the defined formula: a
+        # NaN probe replaces hi, so the bracket closes on the edge of the
+        # defined side and its upper value is NaN.  Up to the first NaN every
+        # probe raised lo; from then on every probe is the midpoint, and the
+        # search keeps its bound of one probe beyond bisection.
+        f = lambda x: x - 0.8 if x < edge or x == 1.0 else math.nan
+        probes = []
+        g = lambda x: probes.append(x) or f(x)
+        lo, hi, flo, fhi = oracle._itp(g, 0.0, 1.0, f(0.0), f(1.0), 1e-9)
+        assert lo < edge <= hi and hi - lo <= 1e-9
         assert flo == f(lo) and math.isnan(fhi)
+        assert len(probes) <= math.ceil(math.log2(1.0 / 1e-9)) + 1
+        first = next(i for i, x in enumerate(probes) if math.isnan(f(x)))
+        lo, hi = max([0.0] + probes[:first]), probes[first]
+        for x in probes[first + 1 :]:
+            assert x == 0.5 * (lo + hi)
+            lo, hi = (lo, x) if math.isnan(f(x)) else (x, hi)
 
     @given(drawn=supported_models())
     @settings(max_examples=15, deadline=None, derandomize=True)
     def test_defect_strictly_decreasing(self, drawn):
-        # The premise of the bisection: at most one root in the window.
+        # The premise of the search: at most one root in the window.
         model, window = drawn
         es = np.linspace(window.lo, window.hi, 64)
         for m, n in ((0, 0), (2, 1)):

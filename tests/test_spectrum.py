@@ -35,6 +35,7 @@ from pdmorse import (
     psi_mn,
     solve_ambiguity_free_ordering,
 )
+from pdmorse import oracle
 from pdmorse.spectrum import (
     SpectrumEntry,
     ValidityFlags,
@@ -136,6 +137,21 @@ class TestDefectArrayPath:
                     g = gammas_at(model, e)
                     assert math.isnan(f_pp) == (g.gamma2 <= 0.0 or g.gamma4 <= 0.0)
 
+    @given(drawn=supported_models())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_defined_energies_form_one_interval(self, drawn):
+        # Every gamma_i falls with E (g_i >= 0), so each level's support is an
+        # intersection of half-lines.  A scan bracket with two finite ends
+        # therefore holds no NaN, and interpolating inside it is safe.
+        model, window = drawn
+        es = np.linspace(window.lo, window.hi, 4001)
+        for variant in Variant:
+            for m in range(5):
+                for n in range(5):
+                    defined = np.flatnonzero(np.isfinite(mismatch(model, variant, m, n, es)))
+                    if defined.size:
+                        assert defined[-1] - defined[0] + 1 == defined.size, (variant, m, n)
+
     def test_printed_condition_undefined_at_zero_weight(self, reference_model):
         # gamma2 = 1/8 - E/8 is exactly zero at E = 1, where the printed
         # formula alone would still give a finite number.
@@ -193,6 +209,27 @@ class TestFindRoots:
     def test_scan_points_floor(self, reference_model, window):
         with pytest.raises(ValueError):
             find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window, scan_points=50)
+
+    def test_itp_probe_counts(self, reference_model, window, monkeypatch):
+        # README: every bracket of the reference model's two spectra and of
+        # compare_table takes 7 to 15 probes, within ITP's bound of one probe
+        # beyond bisection, which takes 30 on each of these scan cells.
+        real, counts = oracle._itp, []
+
+        def counted(f, lo, hi, flo, fhi, tol):
+            probes = []
+            out = real(lambda e: probes.append(e) or f(e), lo, hi, flo, fhi, tol)
+            bisection = math.ceil(math.log2((hi - lo) / tol))
+            assert bisection == 30 and len(probes) <= bisection + 1
+            counts.append(len(probes))
+            return out
+
+        monkeypatch.setattr(oracle, "_itp", counted)
+        for variant in Variant:
+            enumerate_spectrum(reference_model, variant, window, 6)
+        compare_table(reference_model, window=window)
+        assert len(counts) == 34 and (min(counts), max(counts)) == (7, 15)
+        assert sum(counts) == 280
 
     @given(drawn=supported_models())
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -485,10 +522,12 @@ class TestRootPolish:
             assert pde_residual(reference_model, e, grid) < 1e-10, (e.m, e.n)
 
     def test_reference_roots_at_closed_forms(self, reference_model, window):
+        # README: the first-principles roots agree with their closed forms to
+        # 6e-17, the paper-printed multi-roots to 1.2e-16.
         fp = enumerate_spectrum(reference_model, Variant.FIRST_PRINCIPLES, window, 6)
         assert len(fp) == 8
         for e in fp:
-            assert abs(e.energy - FP_LEVELS[min(e.m, e.n), max(e.m, e.n)]) <= 1e-15, (e.m, e.n)
+            assert abs(e.energy - FP_LEVELS[min(e.m, e.n), max(e.m, e.n)]) <= 6e-17, (e.m, e.n)
         # The paper-printed multi-root pairs of the README.
         pp = enumerate_spectrum(reference_model, Variant.PAPER_PRINTED, window, 6)
         multi = {
@@ -499,7 +538,7 @@ class TestRootPolish:
         for pair, want in multi.items():
             got = sorted(e.energy for e in pp if (e.m, e.n) == pair)
             assert len(got) == 2
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, pair
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1.2e-16, pair
 
 
 class TestBackSubstitution:
