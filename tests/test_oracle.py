@@ -32,6 +32,32 @@ from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
 from tests.conftest import draw_supported_channels, supported_models
 
 
+def box_modes(grid, k):
+    """The lowest k Dirichlet eigenvalues of the three-point Laplacian on the grid."""
+    j = np.arange(1, k + 1)
+    return 2.0 / grid.h**2 * (1.0 - np.cos(j * math.pi / (grid.n - 1)))
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Records (operator size, k, sigma, OPinv applications) for every eigsh call."""
+    import scipy.sparse.linalg
+
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(a, **kw):
+        op_inv, solves = kw["OPinv"], []
+        counted = lambda v: solves.append(1) or op_inv.matvec(v)
+        kw["OPinv"] = scipy.sparse.linalg.LinearOperator(op_inv.shape, matvec=counted, dtype=float)
+        vals = real(a, **kw)
+        calls.append((a.shape[0], kw["k"], kw["sigma"], len(solves)))
+        return vals
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
 def linear_scan_energy(model, m, n, window, grid, scan_points):
     """A linear scan over the nodes, then an ITP search of the bracketing cell: the search reference."""
     g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
@@ -83,6 +109,13 @@ class TestFdEigen1D:
     def test_auto_grid_needs_bound_states(self, eta, nu):
         with pytest.raises(NoBracket, match="channel with bound states"):
             auto_grid_1d(MorseChannel(eta, nu, 1.0))
+
+    def test_scalar_potential_is_broadcast(self):
+        # A constant c shifts the box modes (2/h^2)(1 - cos(j pi/(n - 1))) by c.
+        grid = Grid1D(0.0, 2.0, 41)
+        modes = box_modes(grid, 5)
+        r = fd_eigen_1d(lambda x: 0.75, grid, 5)
+        assert np.max(np.abs(r.eigenvalues - (modes + 0.75))) < 1e-10
 
     def test_requesting_too_many_levels(self):
         with pytest.raises(GridTooSmall):
@@ -211,27 +244,62 @@ class TestFdEigen2D:
         assert np.max(np.abs(lan - dense)) < 1e-10
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["separable", "coupled"])
-    def test_lanczos_shift_between_min_and_ground(self, reference_model, monkeypatch, coupled):
+    def test_lanczos_shift_between_min_and_ground(self, reference_model, eigsh_calls, coupled):
         # min u < sigma < lam_1; for a separable u the Weyl bound is lam_1
         # itself, so sigma sits a tenth of the way from lam_1 down to min u.
-        import scipy.sparse.linalg
-
+        # The separable u is swap-symmetric: both of its blocks share sigma.
         from pdmorse import ueff_at
 
-        shifts = []
-        real = scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: shifts.append(kw["sigma"]) or real(*a, **kw))
         if coupled:
             u = _COUPLED
             grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
         else:
             u = lambda X, Y: 2.0 * ueff_at(reference_model, 0.0, X, Y)
             grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
-        lam1 = fd_eigen_2d(u, grid, 1, method="lanczos").eigenvalues[0]
+        lam1 = fd_eigen_2d(u, grid, 3, method="lanczos").eigenvalues[0]
         u_min = float(np.min(u(*np.meshgrid(grid.x.interior(), grid.y.interior()))))
-        assert u_min < shifts[0] < lam1
+        shifts = {sigma for _, _, sigma, _ in eigsh_calls}
+        assert len(eigsh_calls) == (1 if coupled else 2) and len(shifts) == 1
+        sigma = shifts.pop()
+        assert u_min < sigma < lam1
         if not coupled:
-            assert lam1 - shifts[0] == pytest.approx(0.1 * (lam1 - u_min), rel=1e-9)
+            assert lam1 - sigma == pytest.approx(0.1 * (lam1 - u_min), rel=1e-9)
+
+    # 22 x 22 interior nodes: swap blocks of 253 and 231 columns.
+    SQUARE = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-5.0, 5.0, 24))
+
+    @pytest.mark.parametrize(
+        "u, grid, k, calls",
+        [
+            # At k = 1 the ground state is swap-even (Perron-Frobenius): one block.
+            pytest.param(_COUPLED, SQUARE, 1, [(253, 1)], id="coupled1"),
+            pytest.param(_COUPLED, SQUARE, 10, [(253, 7), (231, 7)], id="coupled10"),
+            # The low states of a steep valley along x = y are even in x - y, so
+            # swap-even: the even block's 7 levels fall below the merged 10th.
+            pytest.param(
+                lambda X, Y: 400.0 * (X - Y) ** 2 + (X + Y) ** 2, SQUARE, 10, [(253, 7), (231, 7), (253, 14)],
+                id="valley10",
+            ),
+            # max|u - u^T| = 1e-9 max|x - y| lies far above 8 eps max|u|: one block.
+            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, [(484, 10)], id="near-symmetric10"),
+            # k = N - 1 is more than the two blocks return: one block of N.
+            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, [(196, 195)], id="all-but-one"),
+        ],
+    )
+    def test_swap_blocks_match_dense(self, eigsh_calls, u, grid, k, calls):
+        dense = dense_eigenvalues(u, grid)[:k]
+        lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
+        assert np.max(np.abs(lan - dense)) < 1e-10
+        assert [(n, k_b) for n, k_b, _, _ in eigsh_calls] == calls
+
+    def test_scalar_potential_is_broadcast(self, eigsh_calls):
+        # The pairwise sums of the 1D box modes, plus c, from both swap blocks.
+        grid = Grid2D(Grid1D(0.0, 2.0, 21), Grid1D(0.0, 2.0, 21))
+        modes = box_modes(grid.x, 19)
+        want = np.sort(np.add.outer(modes, modes).ravel())[:8] + 0.75
+        lan = fd_eigen_2d(lambda X, Y: 0.75, grid, 8, method="lanczos").eigenvalues
+        assert np.max(np.abs(lan - want)) < 1e-10
+        assert [n for n, _, _, _ in eigsh_calls] == [190, 171]
 
     def test_overflow_reports_offending_node(self):
         # Non-finite only at the node (2, 1) of a 41^2 grid over [-4, 4]^2.
@@ -249,6 +317,55 @@ class TestFdEigen2D:
         r = fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 1, method="lanczos")
         want = math.sqrt(1.5) + math.sqrt(0.5)
         assert abs(r.eigenvalues[0] - want) < 5e-3
+
+
+class TestReadmeLanczosFigures:
+    """README's ARPACK solve counts and L + U fill on three benchmark levels (96^2 over [-4, 12])."""
+
+    GRID = Grid2D(Grid1D(-4.0, 12.0, 96), Grid1D(-4.0, 12.0, 96))
+
+    @pytest.mark.parametrize(
+        "fixture, m, n, k, blocks",
+        [
+            # (columns, solves at most, nonzeros in L + U in millions under MMD_AT_PLUS_A and COLAMD)
+            ("reference_model", 0, 0, 1, [(4465, 21, 0.12, 0.20)]),
+            ("reference_model", 3, 3, 66, [(4465, 190, 0.12, 0.20), (4371, 209, 0.12, 0.20)]),
+            ("asymmetric_model", 2, 1, 27, [(8836, 149, 0.33, 0.56)]),
+        ],
+        ids=["reference-00", "reference-33", "fixture-21"],
+    )
+    def test_solves_and_fill_per_block(self, request, eigsh_calls, monkeypatch, fixture, m, n, k, blocks):
+        import scipy.sparse.linalg
+
+        from pdmorse import Variant, enumerate_spectrum, ueff_at
+
+        model = request.getfixturevalue(fixture)
+        spectrum = enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, energy_window(model), max(m, n))
+        energy = next(e.energy for e in spectrum if (e.m, e.n) == (m, n) and e.valid.all_ok)
+        factored = []
+        real = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: factored.append(a) or real(a, **kw))
+        fd_eigen_2d(lambda X, Y: 2.0 * ueff_at(model, energy, X, Y), self.GRID, k, method="lanczos")
+        assert len(eigsh_calls) == len(factored) == len(blocks)
+        for (size, _, _, solves), a, (columns, most, mmd, colamd) in zip(eigsh_calls, factored, blocks):
+            assert size == columns and solves <= most
+            fill = [real(a, permc_spec=spec) for spec in ("MMD_AT_PLUS_A", "COLAMD")]
+            assert [round((lu.L.nnz + lu.U.nnz) / 1e6, 2) for lu in fill] == [mmd, colamd]
+
+    def test_reference_levels_take_the_swap_blocks(self, reference_model):
+        # README: the reference levels read max|u - u^T| = 1.1e-13, below 8 eps max|u|.
+        from pdmorse import ueff_at
+
+        X, Y = np.meshgrid(self.GRID.x.interior(), self.GRID.y.interior())
+        r21, r13 = math.sqrt(21.0), math.sqrt(13.0)
+        worst = 0.0
+        for e in ((math.sqrt(29.0) - 7.0) / 8.0, (r21 - 5.0) / 8.0, (r21 - 3.0) / 8.0,
+                  (r13 - 1.0) / 8.0, (r13 + 1.0) / 8.0, (5.0 + math.sqrt(5.0)) / 8.0):
+            u = 2.0 * ueff_at(reference_model, e, X, Y)
+            gap = float(np.max(np.abs(u - u.T)))
+            assert gap <= 8.0 * np.finfo(float).eps * np.max(np.abs(u))
+            worst = max(worst, gap)
+        assert f"{worst:.1e}" == "1.1e-13"
 
 
 class TestOracleEnergy2D:
