@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .spectrum import (
     compare_table,
     energy_window,
     enumerate_spectrum,
-    find_inversions,
     find_roots,
     group_degeneracies,
     mismatch,
@@ -484,6 +482,11 @@ def _is_reference_model(model: Model) -> bool:
     return (model.hbar, model.mass, model.pot) == (ref.hbar, ref.mass, ref.pot)
 
 
+def _find_inversions(levels) -> list[tuple]:
+    """Pairs of (m, n, E) levels where higher total quantum number comes with lower energy."""
+    return [(a, b) for a in levels for b in levels if a[0] + a[1] < b[0] + b[1] and a[2] > b[2] + 1e-12]
+
+
 def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
     """Compare both variants against the bundled reference levels."""
     path = _csv_path(out_dir, "table_compare.csv")
@@ -517,7 +520,7 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
         status = "reproduced" if quarters and all(d < cmp.match_tol for d in dists) else "not reproduced"
         print(f"eight-fold cluster at 0.25 ({len(quarters)} ordered pairs + mirrors): {status} by {label}")
 
-    inv = find_inversions([SimpleNamespace(m=r.m, n=r.n, energy=r.e_ref) for r in cmp.rows])
+    inv = _find_inversions([(r.m, r.n, r.e_ref) for r in cmp.rows])
     if inv:
         a, b = inv[0]
         print(

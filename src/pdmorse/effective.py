@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingNotSolvable
-from .model import Model, OrderingParams, _exponentials, mass_derivatives, potential_at
+from .model import Model, OrderingParams, exponential_sum, mass_derivatives, potential_at
 from .morse1d import MorseChannel, channel_from_gammas
 
 #: Both coefficient combinations must vanish to within this for the reduction.
@@ -118,6 +118,5 @@ def ueff_at(model: Model, e_trial: float, x, y):
     """
     require_reduction_ordering(model.ordering, "reduced potential")
     g = gammas_at(model, e_trial)
-    e1, e2, e3, e4 = _exponentials(model.mass, x, y)
-    u = g.gamma1 * e1 + g.gamma2 * e2 + g.gamma3 * e3 + g.gamma4 * e4
+    u = exponential_sum(model.mass, g.gamma1, g.gamma2, g.gamma3, g.gamma4, x, y)
     return u if np.ndim(u) else float(u)

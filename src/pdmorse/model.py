@@ -116,6 +116,12 @@ def _exponentials(mass: MassParams, x, y):
     return e1, e2, e3, e4
 
 
+def exponential_sum(mass: MassParams, w1, w2, w3, w4, x, y):
+    """w1 e1 + w2 e2 + w3 e3 + w4 e4 over the basis exponentials at (x, y), overflow-checked."""
+    e1, e2, e3, e4 = _exponentials(mass, x, y)
+    return w1 * e1 + w2 * e2 + w3 * e3 + w4 * e4
+
+
 def mass_at(mass: MassParams, x, y):
     """Pointwise mass M(x, y).
 

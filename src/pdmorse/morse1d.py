@@ -68,7 +68,7 @@ def channel_from_gammas(gamma_lin: float, gamma_quad: float, decay: float, hbar:
 
     eta = 2 gamma_lin / hbar^2 and nu = 2 gamma_quad / hbar^2, so the channel
     inherits the energy dependence of the gammas it was built from.  Array
-    weights give a channel per element, which only ``_level_epsilon`` reads.
+    weights give a channel per element, which the first-principles scan reads.
     """
     h2 = hbar * hbar
     return MorseChannel(eta=2.0 * gamma_lin / h2, nu=2.0 * gamma_quad / h2, alpha=decay)
@@ -99,13 +99,13 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
         raise InvalidLevel(f"level m={m} exceeds m_max={top} for channel {ch}")
     if m < 0:
         raise InvalidLevel(f"quantum number must be non-negative, got {m}")
-    eps = float(_level_epsilon(ch, m))
+    eps = float(level_epsilon(ch, m))
     mu = math.sqrt(-eps) / ch.alpha
     log_norm2 = math.log(ch.alpha * 2.0 * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0)
     return Bound1D(m=m, epsilon=eps, mu=mu, norm=math.exp(0.5 * log_norm2))
 
 
-def _level_epsilon(ch: MorseChannel, m: int):
+def level_epsilon(ch: MorseChannel, m: int):
     """eps_m elementwise over array-valued eta and nu; NaN where level m is not bound.
 
     Level m is bound when nu > 0, eta < 0 and m <= ceil(lam - 1/2) - 1, the
@@ -119,7 +119,7 @@ def _level_epsilon(ch: MorseChannel, m: int):
         return np.where(bound, -(bracket * bracket) / (4.0 * ch.nu), np.nan)
 
 
-def laguerre(n: int, a: float, z):
+def _laguerre(n: int, a: float, z):
     """Generalized Laguerre polynomial L_n^a(z) by the three-term recurrence.
 
     L_k = ((2k - 1 + a - z) L_{k-1} - (k - 1 + a) L_{k-2}) / k, which is the
@@ -153,6 +153,6 @@ def wavefunction_1d(ch: MorseChannel, state: Bound1D, x):
     zs = np.where(dead, 1.0, zf)
     with np.errstate(divide="ignore"):
         exponent = np.where(zs > 0.0, state.mu * np.log(zs), -np.inf) - 0.5 * zs
-    val = laguerre(state.m, 2.0 * state.mu, zs) * np.exp(exponent)
+    val = _laguerre(state.m, 2.0 * state.mu, zs) * np.exp(exponent)
     out = np.where(dead, 0.0, val)
     return out if out.ndim else float(out)

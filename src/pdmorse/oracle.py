@@ -265,7 +265,7 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> floa
     by Courant-Fischer, so is every Dirichlet eigenvalue, while
     2 xi(E)/hbar^2 = 2 (m0 (E - r) - a)/hbar^2 strictly increases.  The window
     therefore holds at most one root, and an ITP search of the whole window
-    (see _itp) to width 1e-8 returns the midpoint of the final bracket.  G is
+    (see itp) to width 1e-8 returns the midpoint of the final bracket.  G is
     smooth, so the search needs far fewer G(E) evaluations than bisection,
     and never more than one beyond it: at most 3 + ceil(log2((hi - lo)/1e-8)),
     the two edges included.  That is 31 on the reference window, where the
@@ -286,11 +286,11 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> floa
     g_hi = g_of(hi)
     if not g_lo * g_hi < 0.0:
         raise NoBracket(f"G(E) has no sign change on [{window.lo}, {window.hi}] for (m,n)=({m},{n})")
-    e_lo, e_hi, _, _ = _itp(g_of, lo, hi, g_lo, g_hi, _ORACLE_TOL)
+    e_lo, e_hi, _, _ = itp(g_of, lo, hi, g_lo, g_hi, _ORACLE_TOL)
     return 0.5 * (e_lo + e_hi)
 
 
-def _itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
+def itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float):
     """ITP search of a bracket [lo, hi] whose ends flo = f(lo), fhi = f(hi) differ in sign.
 
     Interpolate, truncate, project (I. F. D. Oliveira and R. H. C. Takahashi,

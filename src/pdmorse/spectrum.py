@@ -26,7 +26,7 @@ from . import oracle
 from .effective import channels_at, epsilon_of, gammas_at, require_reduction_ordering, ueff_at
 from .errors import DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
-from .morse1d import _level_epsilon, energy_1d, m_max, wavefunction_1d
+from .morse1d import energy_1d, level_epsilon, m_max, wavefunction_1d
 
 
 class Variant(enum.Enum):
@@ -110,7 +110,7 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
     if variant is Variant.FIRST_PRINCIPLES:
         chx, chy = channels_at(model, e)
-        f = _level_epsilon(chx, m) + _level_epsilon(chy, n) - epsilon_of(model, e)
+        f = level_epsilon(chx, m) + level_epsilon(chy, n) - epsilon_of(model, e)
     else:
         # Verbatim transcription of the published condition: prefactor 8,
         # |gamma3| in both brackets, n paired with the x-axis quantities and
@@ -125,6 +125,21 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
             f = lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
         f = np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), f, np.nan)
     return f if np.ndim(f) else float(f)
+
+
+def _onset_defect(model: Model, m: int, n: int, e):
+    """First-principles F with each level not yet bound entering as 0, the eps it reaches at onset.
+
+    Continuous and strictly decreasing in E, and NaN only where gamma2 or
+    gamma4 <= 0, where F -> -inf.  Also returns where a level is still below
+    its onset, where F is no defect of a physical level.
+    """
+    chx, chy = channels_at(model, e)
+    ex, ey = level_epsilon(chx, m), level_epsilon(chy, n)
+    below_x = np.isnan(ex) & (chx.nu > 0.0)
+    below_y = np.isnan(ey) & (chy.nu > 0.0)
+    f = np.where(below_x, 0.0, ex) + np.where(below_y, 0.0, ey) - epsilon_of(model, e)
+    return f, below_x | below_y
 
 
 def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
@@ -149,30 +164,41 @@ def find_roots(
 ) -> list[SpectrumEntry]:
     """All bracketable roots of the mismatch inside the window, sorted by E.
 
-    Uniform sign scan of the whole grid at once (NaN marks where the
-    condition is undefined and never brackets), an ITP search (see
-    oracle._itp) of every bracket to width tol, then one regula-falsi step
-    inside the final bracket from its two known end values.  F is defined on
-    one interval of E (every gamma_i falls with E), so a bracket with two
-    finite ends holds no NaN and interpolating inside it is safe; on the
-    reference model ITP takes 7 to 15 evaluations per bracket, where
-    bisection would take 30.  The last step costs no evaluation of F and
-    takes |F| from ~tol |F'| down to rounding, which matters because
-    :func:`pde_residual` divides by eps, and eps -> 0 as a level nears the
-    asymptote.  Tangential (even-multiplicity) roots do not produce a sign
-    change and are therefore not reported.  Raises OrderingNotSolvable unless
-    the model's ordering is the reducing one, for which alone F exists.
+    Uniform sign scan of the whole grid at once, an ITP search (see
+    oracle.itp) of every bracket to width tol, then one regula-falsi step
+    inside the final bracket from its two known end values.  That step costs
+    no evaluation of F and takes |F| from ~tol |F'| down to rounding, which
+    matters because :func:`pde_residual` divides by eps, and eps -> 0 as a
+    level nears the asymptote.  The first-principles scan runs on
+    _onset_defect, which is continuous and strictly decreasing, so a cell
+    brackets the one root when its lower value is > 0 and its upper value
+    < 0 or NaN.  A cell whose upper end still has a level below onset is
+    skipped, and a root is kept only where :func:`mismatch` is finite.  The
+    printed condition is NaN where undefined, which never brackets, and
+    defined on one interval of E, so a bracket with two finite ends holds no
+    NaN; its tangential roots and two roots in one scan cell are missed.
+    Raises OrderingNotSolvable unless the model's ordering is the reducing
+    one, for which alone F exists.
     """
     require_reduction_ordering(model.ordering, "the self-consistency condition")
     if scan_points < 100:
         raise ValueError(f"need scan_points >= 100, got {scan_points}")
+    if m < 0 or n < 0:
+        raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
     es = np.linspace(window.lo, window.hi, scan_points)
-    vals = mismatch(model, variant, m, n, es)
-    f = lambda e: mismatch(model, variant, m, n, e)
+    if variant is Variant.FIRST_PRINCIPLES:
+        f = lambda e: float(_onset_defect(model, m, n, e)[0])
+        vals, below = _onset_defect(model, m, n, es)
+        # Lower value > 0, upper value < 0 or NaN, upper end past both onsets.
+        cells = (vals[:-1] > 0.0) & ~(vals[1:] >= 0.0) & ~below[1:]
+    else:
+        f = lambda e: mismatch(model, variant, m, n, e)
+        vals = f(es)
+        cells = vals[:-1] * vals[1:] < 0.0
     roots = [float(e) for e in es[vals == 0.0]]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+    for i in np.flatnonzero(cells):
         a, b = float(es[i]), float(es[i + 1])
-        lo, hi, flo, fhi = oracle._itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
+        lo, hi, flo, fhi = oracle.itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
         if lo == hi or math.isnan(fhi):
             roots.append(0.5 * (lo + hi))
         else:
@@ -185,17 +211,13 @@ def find_roots(
 
     out = []
     for r in merged:
-        fr = f(r)
-        out.append(
-            SpectrumEntry(
-                m=m,
-                n=n,
-                energy=r,
-                residual=math.inf if math.isnan(fr) else abs(fr),
-                valid=validity_at(model, m, n, r),
-                variant=variant,
+        fr = mismatch(model, variant, m, n, r)
+        if not math.isnan(fr):
+            out.append(
+                SpectrumEntry(
+                    m=m, n=n, energy=r, residual=abs(fr), valid=validity_at(model, m, n, r), variant=variant
+                )
             )
-        )
     return out
 
 
@@ -285,16 +307,6 @@ def group_degeneracies(entries, tol: float) -> list[DegeneracyCluster]:
     if bucket:
         clusters.append(DegeneracyCluster(bucket[0].energy, tuple(bucket)))
     return clusters
-
-
-def find_inversions(entries) -> list[tuple]:
-    """Pairs where higher total quantum number comes with lower energy."""
-    out = []
-    for a in entries:
-        for b in entries:
-            if (a.m + a.n) < (b.m + b.n) and a.energy > b.energy + 1e-12:
-                out.append(((a.m, a.n, a.energy), (b.m, b.n, b.energy)))
-    return out
 
 
 def _prepared_axes(model: Model, entry: SpectrumEntry):

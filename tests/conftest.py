@@ -105,7 +105,8 @@ def quad_overlap(ch: MorseChannel, a, b, tail: float = 40.0) -> float:
     """
     import scipy.integrate
 
-    from pdmorse import auto_grid_1d, wavefunction_1d
+    from pdmorse import wavefunction_1d
+    from pdmorse.oracle import auto_grid_1d
 
     grid = auto_grid_1d(ch)
     hi = grid.x1 + tail / (min(a.mu, b.mu) * ch.alpha)

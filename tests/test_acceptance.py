@@ -16,7 +16,6 @@ from pdmorse import (
     Grid1D,
     Grid2D,
     Variant,
-    auto_grid_1d,
     energy_1d,
     energy_window,
     enumerate_spectrum,
@@ -36,6 +35,7 @@ from pdmorse import (
 from pdmorse.cli import main as cli_main
 from pdmorse.effective import grad_coefficient, laplacian_coefficient
 from pdmorse.morse1d import MorseChannel
+from pdmorse.oracle import auto_grid_1d
 from tests.conftest import draw_supported_channels, quad_overlap
 
 

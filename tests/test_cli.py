@@ -3,8 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pdmorse import energy_window
 from pdmorse.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -16,6 +18,7 @@ from pdmorse.cli import (
     main,
 )
 from pdmorse.errors import ConfigError
+from pdmorse.spectrum import validity_at
 
 
 GRID = DEFAULT_CONFIG["grid"]
@@ -76,6 +79,17 @@ BAD_CONFIGS = [
     ({"tolerances": {**TOLS, "quadrature": True}}, "tolerance 'quadrature' must be a positive number, got True"),
     ({"tolerances": {**TOLS, "root": -1e-3}}, "tolerance 'root' must be a positive number, got -0.001"),
 ]
+
+
+#: An asymmetric model with a first-principles level, (2,6), a tenth of a
+#: scan cell above the lower edge of its support.
+EDGE_CONFIG = {
+    "hbar": 1.2781762294161338, "m0": 1.09906007710337,
+    "g1": 0.4290033573211448, "g2": 0.11552362945043085, "g3": 0.9769900897698354, "g4": 0.18460506684543615,
+    "a1": 1.0856939432419703, "a2": 0.938474611766246,
+    "r": -0.20238045036145857, "a": 1.2252082462632354,
+    "b1": -0.8623947556641214, "b2": 0.06791535977658615, "b3": -1.2007098089465211, "b4": 0.09178903164791767,
+}
 
 
 def run_main(*argv):
@@ -189,6 +203,22 @@ class TestSpectrumCommand:
         path.write_text(json.dumps({"g1": 0, "g2": 0, "b1": 0, "b2": 0, "b3": -1, "b4": 0.125}))
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_OK
         assert read_csv(tmp_path / "spectrum.csv") == []
+
+    def test_level_next_to_support_edge_is_listed(self, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(EDGE_CONFIG))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_OK
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert len(rows) == 10
+        (row,) = [r for r in rows if (r["m"], r["n"]) == ("2", "6")]
+        assert float(row["E"]) == pytest.approx(0.14914764323363688, abs=1e-12)
+        assert float(row["residual"]) < 1e-10
+        assert row["valid"] == "true"
+        # At the scan node below the root, level 6 is not yet bound.
+        model = config_from_dict(EDGE_CONFIG).model
+        window = energy_window(model)
+        es = np.linspace(window.lo, window.hi, DEFAULT_CONFIG["scan_points"])
+        assert not validity_at(model, 2, 6, es[es < float(row["E"])][-1]).level_y_allowed
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         run_main("--out", str(tmp_path), "spectrum")

@@ -11,12 +11,11 @@ from pdmorse import (
     InvalidLevel,
     MorseChannel,
     NoBoundStates,
-    channel_from_gammas,
     energy_1d,
-    laguerre,
     m_max,
     wavefunction_1d,
 )
+from pdmorse.morse1d import _laguerre, channel_from_gammas
 from tests.conftest import draw_supported_channels, quad_overlap
 
 
@@ -111,14 +110,14 @@ class TestLaguerre:
     def test_degree_zero_is_one(self):
         for a in (-0.5, 0.0, 2.7):
             for z in (0.0, 1.0, 10.0):
-                assert laguerre(0, a, z) == 1.0
+                assert _laguerre(0, a, z) == 1.0
 
     def test_degree_one(self):
-        assert laguerre(1, 0.3, 2.0) == pytest.approx(1.0 + 0.3 - 2.0, abs=1e-15)
+        assert _laguerre(1, 0.3, 2.0) == pytest.approx(1.0 + 0.3 - 2.0, abs=1e-15)
 
     def test_explicit_degree_two(self):
         # L_2^0(z) = (z^2 - 4z + 2)/2 at z=2.
-        assert laguerre(2, 0.0, 2.0) == pytest.approx(-1.0, abs=1e-14)
+        assert _laguerre(2, 0.0, 2.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_against_summation_oracle(self):
         rng = np.random.default_rng(8)
@@ -127,7 +126,7 @@ class TestLaguerre:
             a = float(rng.uniform(-0.9, 5.0))
             z = float(rng.uniform(0.0, 30.0))
             want = laguerre_by_summation(n, a, z)
-            got = laguerre(n, a, z)
+            got = _laguerre(n, a, z)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     @given(
@@ -137,15 +136,15 @@ class TestLaguerre:
     )
     @settings(max_examples=80, derandomize=True)
     def test_recurrence_matches_summation(self, n, a, z):
-        assert laguerre(n, a, z) == pytest.approx(
+        assert _laguerre(n, a, z) == pytest.approx(
             laguerre_by_summation(n, a, z), rel=1e-10, abs=1e-10
         )
 
     def test_vectorized_over_z(self):
         zs = np.linspace(0, 5, 9)
-        vals = laguerre(3, 0.5, zs)
+        vals = _laguerre(3, 0.5, zs)
         assert vals.shape == zs.shape
-        assert vals[0] == pytest.approx(laguerre(3, 0.5, 0.0))
+        assert vals[0] == pytest.approx(_laguerre(3, 0.5, 0.0))
 
 
 class TestWavefunction:

@@ -16,7 +16,6 @@ from pdmorse import (
     NoBracket,
     OrderingNotSolvable,
     Unbounded,
-    auto_grid_1d,
     channels_at,
     energy_1d,
     energy_window,
@@ -29,6 +28,7 @@ from pdmorse import (
 )
 from pdmorse import oracle
 from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
+from pdmorse.oracle import auto_grid_1d
 from tests.conftest import draw_supported_channels, supported_models
 
 
@@ -67,7 +67,7 @@ def linear_scan_energy(model, m, n, window, grid, scan_points):
         if vals[i] == 0.0:
             return float(es[i])
         if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, _, _ = oracle._itp(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], 1e-8)
+            lo, hi, _, _ = oracle.itp(g_of, float(es[i]), float(es[i + 1]), vals[i], vals[i + 1], 1e-8)
             return 0.5 * (lo + hi)
     raise NoBracket("no sign change")
 
@@ -410,10 +410,10 @@ class TestOracleEnergy2D:
         def capped(e):
             calls.append(e)
             if len(calls) > 64:
-                raise RuntimeError("_itp is not narrowing the bracket")
+                raise RuntimeError("itp is not narrowing the bracket")
             return oracle._level_defect(reference_model, 0, 0, grid, e)
 
-        lo, hi, _, _ = oracle._itp(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
+        lo, hi, _, _ = oracle.itp(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
         assert hi - lo <= 4.0 * np.finfo(float).eps
         assert abs(0.5 * (lo + hi) - e_tol) < 1e-8
 
@@ -536,7 +536,7 @@ class TestOracleEnergy2D:
         root = -1.31 + 0.1 * math.atanh(-0.8)
         probes = []
         g = lambda x: probes.append(x) or f(x)
-        lo, hi, _, _ = oracle._itp(g, -1.68, -0.86, f(-1.68), f(-0.86), tol)
+        lo, hi, _, _ = oracle.itp(g, -1.68, -0.86, f(-1.68), f(-0.86), tol)
         assert len(set(probes)) == len(probes)
         assert all(-1.68 < x < -0.86 for x in probes)
         assert lo <= root <= hi and hi - lo <= tol
@@ -568,12 +568,12 @@ class TestOracleEnergy2D:
 
     def test_itp_returns_final_bracket(self):
         f = lambda x: x - 0.3
-        lo, hi, flo, fhi = oracle._itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
+        lo, hi, flo, fhi = oracle.itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6)
         assert lo < 0.3 < hi and hi - lo <= 1e-6
         assert (flo, fhi) == (f(lo), f(hi))
         # The first probe, the midpoint, is an exact zero.
         f = lambda x: x - 0.5
-        assert oracle._itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
+        assert oracle.itp(f, 0.0, 1.0, f(0.0), f(1.0), 1e-6) == (0.5, 0.5, 0.0, 0.0)
 
     @pytest.mark.parametrize("edge", [0.3, 0.6, 0.75])
     def test_itp_keeps_defined_side(self, edge):
@@ -585,7 +585,7 @@ class TestOracleEnergy2D:
         f = lambda x: x - 0.8 if x < edge or x == 1.0 else math.nan
         probes = []
         g = lambda x: probes.append(x) or f(x)
-        lo, hi, flo, fhi = oracle._itp(g, 0.0, 1.0, f(0.0), f(1.0), 1e-9)
+        lo, hi, flo, fhi = oracle.itp(g, 0.0, 1.0, f(0.0), f(1.0), 1e-9)
         assert lo < edge <= hi and hi - lo <= 1e-9
         assert flo == f(lo) and math.isnan(fhi)
         assert len(probes) <= math.ceil(math.log2(1.0 / 1e-9)) + 1

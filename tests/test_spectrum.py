@@ -25,7 +25,6 @@ from pdmorse import (
     energy_window,
     enumerate_spectrum,
     epsilon_of,
-    find_inversions,
     find_roots,
     gammas_at,
     group_degeneracies,
@@ -36,9 +35,11 @@ from pdmorse import (
     solve_ambiguity_free_ordering,
 )
 from pdmorse import oracle
+from pdmorse.cli import _find_inversions
 from pdmorse.spectrum import (
     SpectrumEntry,
     ValidityFlags,
+    _onset_defect,
     is_xy_symmetric,
     validity_at,
 )
@@ -152,6 +153,24 @@ class TestDefectArrayPath:
                     if defined.size:
                         assert defined[-1] - defined[0] + 1 == defined.size, (variant, m, n)
 
+    @given(drawn=supported_models())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_first_principles_defect_strictly_decreases(self, drawn):
+        # The scan's one-root argument: F falls strictly wherever it is
+        # defined, and so does the scan's F, in which a level not yet bound
+        # enters as 0; that one is NaN only where gamma2 or gamma4 <= 0.
+        model, window = drawn
+        es = np.linspace(window.lo, window.hi, 4001)
+        g = gammas_at(model, es)
+        dead = (g.gamma2 <= 0.0) | (g.gamma4 <= 0.0)
+        for m in range(5):
+            for n in range(5):
+                f = mismatch(model, Variant.FIRST_PRINCIPLES, m, n, es)
+                assert np.all(np.diff(f[np.isfinite(f)]) < 0.0), (m, n)
+                scan, _ = _onset_defect(model, m, n, es)
+                assert np.array_equal(np.isnan(scan), dead), (m, n)
+                assert np.all(np.diff(scan[~dead]) < 0.0), (m, n)
+
     def test_printed_condition_undefined_at_zero_weight(self, reference_model):
         # gamma2 = 1/8 - E/8 is exactly zero at E = 1, where the printed
         # formula alone would still give a finite number.
@@ -214,7 +233,7 @@ class TestFindRoots:
         # README: every bracket of the reference model's two spectra and of
         # compare_table takes 7 to 15 probes, within ITP's bound of one probe
         # beyond bisection, which takes 30 on each of these scan cells.
-        real, counts = oracle._itp, []
+        real, counts = oracle.itp, []
 
         def counted(f, lo, hi, flo, fhi, tol):
             probes = []
@@ -224,12 +243,25 @@ class TestFindRoots:
             counts.append(len(probes))
             return out
 
-        monkeypatch.setattr(oracle, "_itp", counted)
+        monkeypatch.setattr(oracle, "itp", counted)
         for variant in Variant:
             enumerate_spectrum(reference_model, variant, window, 6)
         compare_table(reference_model, window=window)
         assert len(counts) == 34 and (min(counts), max(counts)) == (7, 15)
         assert sum(counts) == 280
+
+    @given(drawn=supported_models())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_scan_resolution_finds_the_same_levels(self, drawn):
+        # A level less than one scan cell above its support edge is
+        # bracketed too, so a 100-node scan finds what a 20,000-node one does.
+        model, window = drawn
+        tol = 1e-12
+        spectra = (enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, window, 4, p, tol) for p in (100, 20_000))
+        coarse, fine = (sorted((e.m, e.n, e.energy) for e in entries) for entries in spectra)
+        assert [c[:2] for c in coarse] == [f[:2] for f in fine]
+        for c, f in zip(coarse, fine):
+            assert abs(c[2] - f[2]) <= tol, c
 
     @given(drawn=supported_models())
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -371,8 +403,7 @@ class TestDegeneracies:
         assert pairs == {(0, 1), (1, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 4), (4, 3)}
 
     def test_reference_table_shows_inversions(self):
-        entries = [_fake_entry(m, n, e) for m, n, e in REFERENCE_LEVELS]
-        inversions = find_inversions(entries)
+        inversions = _find_inversions(REFERENCE_LEVELS)
         assert inversions
         # Specifically (2,2) lies below (0,1) despite the larger total index.
         assert any(
