@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import oracle, spectrum
+from . import effective, oracle, spectrum
 from .effective import channels_at, is_reduction_ordering, require_reduction_ordering, ueff_at, veff_at, xi_of
 from .errors import (
     ConfigError,
@@ -46,7 +46,6 @@ from .spectrum import (
     enumerate_spectrum,
     find_roots,
     group_degeneracies,
-    mismatch,
     pde_residual,
     psi_mn,
 )
@@ -290,191 +289,185 @@ def cmd_fields(
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig):
-    """(name, callable) pairs; each callable returns a detail string.
+def _check_ordering(cfg: RunConfig) -> str:
+    o = solve_ambiguity_free_ordering()
+    assert (o.alpha, o.beta, o.gamma) == (-0.5, 0.0, -0.5), "unexpected ordering solution"
+    c1, c2 = effective.laplacian_coefficient(o), effective.grad_coefficient(o)
+    assert c1 == 0.0 and c2 == 0.0, f"conditions not zero: {c1}, {c2}"
+    return "alpha=gamma=-1/2, beta=0; both conditions vanish"
 
-    The last four checks read one study, resolved before any check runs: the
-    window, the configured variant's spectrum and the first-principles one.
-    A failure to resolve it is raised again by each of them.  Without the
-    reducing ordering there is no condition to solve and their callables are
-    None.
-    """
+
+def _check_reduction(cfg: RunConfig) -> str:
     model = cfg.model
-    study = None
-    if is_reduction_ordering(model.ordering):
-        try:
-            window = _resolve_window(cfg)
-            entries = enumerate_spectrum(model, cfg.variant, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
-            fp_entries = entries
-            if cfg.variant is not Variant.FIRST_PRINCIPLES:
-                # Printed-condition roots are not eigenvalues of the reduced PDE.
-                fp_entries = enumerate_spectrum(
-                    model, Variant.FIRST_PRINCIPLES, window, cfg.max_q, cfg.scan_points, cfg.tol_root
-                )
-            study = (window, entries, fp_entries)
-        except Exception as exc:  # noqa: BLE001 - each spectrum check reports it
-            study = exc
+    if not is_reduction_ordering(model.ordering):
+        raise OrderingNotSolvable(f"configured ordering {model.ordering} leaves mass-gradient terms")
+    xs = np.linspace(-2.0, 6.0, 41)
+    X, Y = np.meshgrid(xs, xs)
+    M = mass_at(model.mass, X, Y)
+    veff = veff_at(model, X, Y)
+    worst = 0.0
+    for e in np.linspace(-0.4, 1.0, 5):
+        general = M * (veff - e) + xi_of(model, float(e))
+        reduced = ueff_at(model, float(e), X, Y)
+        worst = max(worst, float(np.max(np.abs(general - reduced))))
+    assert worst < 1e-10, f"reduction identity defect {worst:.3e}"
+    return f"max defect {worst:.3e} on 41x41 grid, 5 energies"
 
-    def check_ordering():
-        o = solve_ambiguity_free_ordering()
-        assert (o.alpha, o.beta, o.gamma) == (-0.5, 0.0, -0.5), "unexpected ordering solution"
-        c1 = o.alpha + o.gamma + 1.0
-        c2 = o.alpha + o.gamma + o.alpha * o.gamma + 0.75
-        assert c1 == 0.0 and c2 == 0.0, f"conditions not zero: {c1}, {c2}"
-        return "alpha=gamma=-1/2, beta=0; both conditions vanish"
 
-    def check_reduction():
-        if not is_reduction_ordering(model.ordering):
-            raise OrderingNotSolvable(
-                f"configured ordering {model.ordering} leaves mass-gradient terms"
-            )
-        xs = np.linspace(-2.0, 6.0, 41)
-        X, Y = np.meshgrid(xs, xs)
-        M = mass_at(model.mass, X, Y)
-        veff = veff_at(model, X, Y)
-        worst = 0.0
-        for e in np.linspace(-0.4, 1.0, 5):
-            general = M * (veff - e) + xi_of(model, float(e))
-            reduced = ueff_at(model, float(e), X, Y)
-            worst = max(worst, float(np.max(np.abs(general - reduced))))
-        assert worst < 1e-10, f"reduction identity defect {worst:.3e}"
-        return f"max defect {worst:.3e} on 41x41 grid, 5 energies"
-
-    def check_oracle_1d():
-        chx, chy = channels_at(model, model.pot.r)
-        worst = 0.0
-        for ch in (chx, chy):
-            if not ch.supports_bound_states:
-                continue
-            top = m_max(ch)
-            grid = oracle.auto_grid_1d(ch)
-            # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
-            # its h^2 term, which a shallow level's slow tail makes large.
-            half = oracle.Grid1D(grid.x0, grid.x1, 2 * grid.n - 1)
-            e_h = oracle.fd_eigen_1d(ch.potential, grid, top + 1).eigenvalues
-            e_h2 = oracle.fd_eigen_1d(ch.potential, half, top + 1).eigenvalues
-            fd = (4.0 * e_h2 - e_h) / 3.0
-            for mm in range(top + 1):
-                exact = energy_1d(ch, mm).epsilon
-                rel = abs(fd[mm] - exact) / abs(exact)
+def _check_oracle_1d(cfg: RunConfig) -> str:
+    worst, cut = 0.0, None
+    for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)):
+        if not ch.supports_bound_states:
+            continue
+        top = m_max(ch)
+        grid = oracle.auto_grid_1d(ch)
+        # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
+        # its h^2 term, which a shallow level's slow tail makes large.
+        half = oracle.Grid1D(grid.x0, grid.x1, 2 * grid.n - 1)
+        e_h = oracle.fd_eigen_1d(ch.potential, grid, top + 1).eigenvalues
+        e_h2 = oracle.fd_eigen_1d(ch.potential, half, top + 1).eigenvalues
+        fd = (4.0 * e_h2 - e_h) / 3.0
+        for mm in range(top + 1):
+            state = energy_1d(ch, mm)
+            rel = abs(fd[mm] - state.epsilon) / abs(state.epsilon)
+            # Below the grid's mu floor a level's tail reaches past the right wall.
+            if rel < 1e-4 or state.mu >= oracle.AUTO_GRID_MU_FLOOR:
                 worst = max(worst, rel)
-        assert worst < 1e-4, f"1D oracle disagreement {worst:.3e}"
-        return f"max relative eigenvalue error {worst:.3e} (Richardson, h and h/2)"
-
-    def check_nodes():
-        chx, _ = channels_at(model, model.pot.r)
-        if not chx.supports_bound_states:
-            return "skipped: no bound support at r"
-        top = m_max(chx)
-        grid = oracle.auto_grid_1d(chx)
-        xs = np.linspace(grid.x0, grid.x1, 4001)
-        for mm in range(min(top, 4) + 1):
-            st = energy_1d(chx, mm)
-            vals = wavefunction_1d(chx, st, xs)
-            sig = vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))]
-            nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
-            assert nodes == mm, f"level {mm} shows {nodes} sign changes"
-        return f"node counts match m for m<= {min(top, 4)}"
-
-    def check_orthogonality():
-        chx, _ = channels_at(model, model.pot.r)
-        if not chx.supports_bound_states or m_max(chx) < 1:
-            return "skipped: fewer than two levels"
-        s0 = energy_1d(chx, 0)
-        s1 = energy_1d(chx, 1)
-        # Composite 20-point Gauss-Legendre over the oracle domain plus 40
-        # e-foldings of level 1's slower outer tail.  numpy's rule: importing
-        # scipy.integrate would add ~23 MB to this command's peak memory.
-        grid = oracle.auto_grid_1d(chx)
-        hi = grid.x1 + 40.0 / (s1.mu * chx.alpha)
-        edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        nodes, weights = np.polynomial.legendre.leggauss(20)
-        t = (mid[:, None] + half[:, None] * nodes).ravel()
-        w = (half[:, None] * weights).ravel()
-        overlap = float(np.sum(w * s0.norm * wavefunction_1d(chx, s0, t) * s1.norm * wavefunction_1d(chx, s1, t)))
-        assert abs(overlap) < 1e-8, f"levels 0 and 1 overlap {overlap:.3e}"
-        return f"<0|1> = {abs(overlap):.3e}"
-
-    def check_backsub(window, entries, fp_entries):
-        worst = max((e.residual for e in entries), default=0.0)
-        for e in entries:
-            assert abs(mismatch(model, cfg.variant, e.m, e.n, e.energy)) < 1e-10, (
-                f"({e.m},{e.n}) residual {e.residual:.3e}"
-            )
-        return f"{len(entries)} levels, worst |F| = {worst:.3e}"
-
-    def check_pde(window, entries, fp_entries):
-        valid = [e for e in fp_entries if e.valid.all_ok]
-        if not valid:
-            return "skipped: no fully valid levels"
-        grid = oracle.Grid2D(oracle.Grid1D(-2.0, 8.0, 61), oracle.Grid1D(-2.0, 8.0, 61))
-        worst = 0.0
-        for e in valid[:3]:
-            worst = max(worst, pde_residual(model, e, grid))
-        assert worst < 1e-10, f"PDE residual {worst:.3e}"
-        return f"max relative residual {worst:.3e} over {min(3, len(valid))} levels"
-
-    def check_window(window, entries, fp_entries):
-        for e in entries:
-            assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9, (
-                f"({e.m},{e.n}) energy {e.energy} outside window"
-            )
-        return f"{len(entries)} energies inside [{_fmt(window.lo)}, {_fmt(window.hi)}]"
-
-    def check_degeneracy(window, entries, fp_entries):
-        clusters = group_degeneracies(entries, cfg.tol_degeneracy)
-        if spectrum.is_xy_symmetric(model):
-            for e in entries:
-                partner = [p for p in entries if (p.m, p.n) == (e.n, e.m)]
-                assert partner and any(p.energy == e.energy for p in partner), (
-                    f"({e.m},{e.n}) lacks an exact mirror partner"
+            elif cut is None:
+                cut = GridTooSmall(
+                    f"{axis}-axis level {mm} has mu = {state.mu:.3e}, below the 1D oracle grid's floor "
+                    f"{oracle.AUTO_GRID_MU_FLOOR:g}, which cuts off its tail (relative error {rel:.3e})"
                 )
-        multi = [c for c in clusters if c.multiplicity > 1]
-        return f"{len(clusters)} clusters, {len(multi)} degenerate"
+    assert worst < 1e-4, f"1D oracle disagreement {worst:.3e}"
+    if cut is not None:
+        raise cut
+    return f"max relative eigenvalue error {worst:.3e} (Richardson, h and h/2)"
 
-    def on_study(check):
-        def run():
-            if isinstance(study, Exception):
-                raise study
-            return check(*study)
 
-        return None if study is None else run
+def _check_nodes(cfg: RunConfig) -> str:
+    chx, _ = channels_at(cfg.model, cfg.model.pot.r)
+    if not chx.supports_bound_states:
+        return "skipped: no bound support at r"
+    top = m_max(chx)
+    grid = oracle.auto_grid_1d(chx)
+    xs = np.linspace(grid.x0, grid.x1, 4001)
+    for mm in range(min(top, 4) + 1):
+        st = energy_1d(chx, mm)
+        vals = wavefunction_1d(chx, st, xs)
+        sig = vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))]
+        nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
+        assert nodes == mm, f"level {mm} shows {nodes} sign changes"
+    return f"node counts match m for m<= {min(top, 4)}"
 
-    return [
-        ("ordering-solution", check_ordering),
-        ("reduction-identity", check_reduction),
-        ("1d-oracle", check_oracle_1d),
-        ("node-counts", check_nodes),
-        ("orthogonality", check_orthogonality),
-        ("back-substitution", on_study(check_backsub)),
-        ("pde-residual", on_study(check_pde)),
-        ("window-containment", on_study(check_window)),
-        ("degeneracy", on_study(check_degeneracy)),
-    ]
+
+def _check_orthogonality(cfg: RunConfig) -> str:
+    chx, _ = channels_at(cfg.model, cfg.model.pot.r)
+    if not chx.supports_bound_states or m_max(chx) < 1:
+        return "skipped: fewer than two levels"
+    s0 = energy_1d(chx, 0)
+    s1 = energy_1d(chx, 1)
+    # Composite 20-point Gauss-Legendre over the oracle domain plus 40
+    # e-foldings of level 1's slower outer tail.  numpy's rule: importing
+    # scipy.integrate would add ~23 MB to this command's peak memory.
+    grid = oracle.auto_grid_1d(chx)
+    hi = grid.x1 + 40.0 / (s1.mu * chx.alpha)
+    edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    overlap = float(np.sum(w * s0.norm * wavefunction_1d(chx, s0, t) * s1.norm * wavefunction_1d(chx, s1, t)))
+    assert abs(overlap) < 1e-8, f"levels 0 and 1 overlap {overlap:.3e}"
+    return f"<0|1> = {abs(overlap):.3e}"
+
+
+def _check_backsub(cfg: RunConfig, window, entries, fp_entries) -> str:
+    # find_roots stored |F| at each root as its residual.
+    for e in entries:
+        assert e.residual < 1e-10, f"({e.m},{e.n}) residual {e.residual:.3e}"
+    return f"{len(entries)} levels, worst |F| = {max((e.residual for e in entries), default=0.0):.3e}"
+
+
+def _check_pde(cfg: RunConfig, window, entries, fp_entries) -> str:
+    valid = [e for e in fp_entries if e.valid.all_ok]
+    if not valid:
+        return "skipped: no fully valid levels"
+    grid = oracle.Grid2D(oracle.Grid1D(-2.0, 8.0, 61), oracle.Grid1D(-2.0, 8.0, 61))
+    worst = max(pde_residual(cfg.model, e, grid) for e in valid[:3])
+    assert worst < 1e-10, f"PDE residual {worst:.3e}"
+    return f"max relative residual {worst:.3e} over {min(3, len(valid))} levels"
+
+
+def _check_window(cfg: RunConfig, window, entries, fp_entries) -> str:
+    for e in entries:
+        assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9, f"({e.m},{e.n}) energy {e.energy} outside window"
+    return f"{len(entries)} energies inside [{_fmt(window.lo)}, {_fmt(window.hi)}]"
+
+
+def _check_degeneracy(cfg: RunConfig, window, entries, fp_entries) -> str:
+    clusters = group_degeneracies(entries, cfg.tol_degeneracy)
+    if spectrum.is_xy_symmetric(cfg.model):
+        levels = {(e.m, e.n, e.energy) for e in entries}
+        for e in entries:
+            assert (e.n, e.m, e.energy) in levels, f"({e.m},{e.n}) lacks an exact mirror partner"
+    multi = [c for c in clusters if c.multiplicity > 1]
+    return f"{len(clusters)} clusters, {len(multi)} degenerate"
+
+
+#: The verify suite in run order: (name, check, reads_study).  Each check
+#: takes the config and returns a detail string or raises.  One that reads the
+#: study also takes the window, the configured variant's spectrum and the
+#: first-principles one, which cmd_verify resolves once before any check runs.
+VERIFY_CHECKS = (
+    ("ordering-solution", _check_ordering, False),
+    ("reduction-identity", _check_reduction, False),
+    ("1d-oracle", _check_oracle_1d, False),
+    ("node-counts", _check_nodes, False),
+    ("orthogonality", _check_orthogonality, False),
+    ("back-substitution", _check_backsub, True),
+    ("pde-residual", _check_pde, True),
+    ("window-containment", _check_window, True),
+    ("degeneracy", _check_degeneracy, True),
+)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Run every invariant check, printing one pass/fail/skip line per check."""
-    failures: list[tuple[str, BaseException]] = []
-    for name, check in _verify_checks(cfg):
-        if check is None:
+    """Run every invariant check, printing one pass/fail/skip line per check.
+
+    Without the reducing ordering there is no condition to solve and no study,
+    and the checks that read it are skipped.  When resolving the study fails,
+    each of them fails with that error.
+    """
+    study = None
+    if is_reduction_ordering(cfg.model.ordering):
+        try:
+            window = _resolve_window(cfg)
+            run = lambda v: enumerate_spectrum(cfg.model, v, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
+            entries = run(cfg.variant)
+            # Printed-condition roots are not eigenvalues of the reduced PDE.
+            fp_entries = entries if cfg.variant is Variant.FIRST_PRINCIPLES else run(Variant.FIRST_PRINCIPLES)
+            study = (window, entries, fp_entries)
+        except Exception as exc:  # noqa: BLE001 - each check that reads the study reports it
+            study = exc
+    first_failure = None
+    for name, check, reads_study in VERIFY_CHECKS:
+        if reads_study and study is None:
             print(f"SKIP {name}: requires the solvable ordering")
             continue
         try:
-            detail = check()
+            if reads_study and isinstance(study, Exception):
+                raise study
+            detail = check(cfg, *study) if reads_study else check(cfg)
             print(f"PASS {name}: {detail}")
-        except BaseException as exc:  # noqa: BLE001 - report and keep going
-            if isinstance(exc, KeyboardInterrupt):
-                raise
+        except Exception as exc:  # noqa: BLE001 - report and keep going
             print(f"FAIL {name}: {exc}")
-            failures.append((name, exc))
-    if not failures:
+            first_failure = first_failure or (name, exc)
+    if first_failure is None:
         print("all checks passed")
         return EXIT_OK
-    first_name, first_exc = failures[0]
-    print(f"first failing check: {first_name}")
-    return EXIT_NUMERIC if isinstance(first_exc, _NUMERIC_ERRORS) else EXIT_INVARIANT
+    name, exc = first_failure
+    print(f"first failing check: {name}")
+    return EXIT_NUMERIC if isinstance(exc, _NUMERIC_ERRORS) else EXIT_INVARIANT
 
 
 def _is_reference_model(model: Model) -> bool:

@@ -27,6 +27,9 @@ from .morse1d import MorseChannel, energy_1d, m_max
 _ORACLE_TOL = 1e-8
 #: Nodes of every auto_grid_1d grid.
 _AUTO_GRID_NODES = 4000
+#: auto_grid_1d places its right wall for a top level with at least this mu.
+#: A shallower level's tail reaches past the wall, which moves its eigenvalue.
+AUTO_GRID_MU_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ def auto_grid_1d(ch: MorseChannel) -> Grid1D:
     depth = ch.eta * ch.eta / (4.0 * ch.nu)
     x_left = -math.log(100.0 * depth / ch.nu) / (2.0 * ch.alpha) - 1.0 / ch.alpha
     state = energy_1d(ch, top)
-    mu_min = max(state.mu, 0.05)
+    mu_min = max(state.mu, AUTO_GRID_MU_FLOOR)
     # Outer turning point of the top level: |eta| e^{-ax} = |eps_top|.
     x_turn = math.log(-ch.eta / -state.epsilon) / ch.alpha if -state.epsilon < -ch.eta else 0.0
     x_right = x_turn + 7.5 / (mu_min * ch.alpha) + 2.0 / ch.alpha

@@ -103,14 +103,15 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
     """Signed self-consistency defect F(E) whose roots are physical levels.
 
     Elementwise over trial energies e, NaN where F is undefined, and a float
-    for scalar e.  First-principles F is undefined where level m (x) or n (y)
-    is not bound; the printed condition where gamma2 <= 0 or gamma4 <= 0.
+    for scalar e.  First-principles F is _onset_defect's, undefined where
+    level m (x) or n (y) is not bound; the printed condition where
+    gamma2 <= 0 or gamma4 <= 0.
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
     if variant is Variant.FIRST_PRINCIPLES:
-        chx, chy = channels_at(model, e)
-        f = level_epsilon(chx, m) + level_epsilon(chy, n) - epsilon_of(model, e)
+        f, below = _onset_defect(model, m, n, e)
+        f = np.where(below, np.nan, f)
     else:
         # Verbatim transcription of the published condition: prefactor 8,
         # |gamma3| in both brackets, n paired with the x-axis quantities and

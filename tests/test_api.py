@@ -52,3 +52,31 @@ def test_no_module_reaches_into_another_private_name():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 8
     assert [hit for path in paths for hit in private_reaches(path)] == []
+
+
+def unused_imports(source: str, filename: str = "<module>") -> list[str]:
+    """Names that ``source`` imports but never reads.
+
+    ``import a.b`` binds ``a``; a name counts as read where it appears as an
+    expression name, which covers attribute bases such as ``a.b.f()``.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{filename}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_unused_imports_finds_a_dead_name():
+    source = "import scipy.linalg\nfrom .spectrum import mismatch, psi_mn\nscipy.linalg.eigh\npsi_mn()\n"
+    assert unused_imports(source) == ["<module>:2 mismatch"]
+
+
+def test_every_module_uses_what_it_imports():
+    # __init__.py imports to re-export: its names are read through __all__.
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(paths) >= 8
+    assert [hit for path in paths for hit in unused_imports(path.read_text(encoding="utf-8"), path.name)] == []

@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pdmorse.cli import (
     EXIT_INVARIANT,
     EXIT_NUMERIC,
     EXIT_OK,
+    VERIFY_CHECKS,
     config_from_dict,
     load_config,
     main,
@@ -270,7 +273,70 @@ class TestFieldsCommand:
         assert origin and float(origin[0]["value"]) == pytest.approx(-1.75, abs=1e-12)
 
 
+def readme_verify_checks() -> list[str]:
+    """The check names that README's "The `verify` checks" section numbers, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### The `verify` checks\n", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"^\d+\. `([a-z0-9-]+)`", section, flags=re.M)
+
+
+def verify_statuses(out: str) -> list[tuple[str, str]]:
+    """(status, check name) of each PASS, FAIL and SKIP line of verify's output."""
+    return [tuple(line.split(":", 1)[0].split(" ", 1)) for line in out.splitlines() if line[:4] in ("PASS", "FAIL", "SKIP")]
+
+
 class TestVerifyCommand:
+    def test_readme_lists_the_checks_in_run_order(self, tmp_path, capsys):
+        names = readme_verify_checks()
+        assert len(names) == len(set(names)) == 9
+        assert [name for name, _, _ in VERIFY_CHECKS] == names
+        assert run_main("--out", str(tmp_path), "verify") == EXIT_OK
+        assert verify_statuses(capsys.readouterr().out) == [("PASS", name) for name in names]
+        # Under an ordering that does not reduce, the four study checks are skipped.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        statuses = ["PASS", "FAIL", "PASS", "PASS", "PASS", "SKIP", "SKIP", "SKIP", "SKIP"]
+        assert verify_statuses(capsys.readouterr().out) == list(zip(statuses, names))
+
+    @pytest.mark.parametrize("b1, mu, rel", [(-0.76, "2.000e-02", "7.149e-03"), (-0.7501, "2.000e-04", "2.130e+03")])
+    def test_level_below_grid_floor_is_a_numerical_failure(self, tmp_path, capsys, b1, mu, rel):
+        # The x channel's top level is shallower than auto_grid_1d's mu floor,
+        # so the grid's right wall cuts off its tail.  The closed form itself
+        # is right: pde-residual and orthogonality pass.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": b1}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_NUMERIC
+        out = capsys.readouterr().out
+        assert (
+            f"FAIL 1d-oracle: x-axis level 1 has mu = {mu}, below the 1D oracle grid's floor 0.05, "
+            f"which cuts off its tail (relative error {rel})"
+        ) in out
+        assert [status for status in verify_statuses(out) if status[0] != "PASS"] == [("FAIL", "1d-oracle")]
+        assert "first failing check: 1d-oracle" in out
+
+    def test_level_just_above_grid_floor_passes_1d_oracle(self, tmp_path, capsys):
+        # The x channel's top level has mu = 0.035, so the grid holds it.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": -0.7675}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_OK
+        assert "PASS 1d-oracle: max relative eigenvalue error 7.108e-05" in capsys.readouterr().out
+
+    def test_held_level_violation_outranks_a_level_below_grid_floor(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import pdmorse.cli
+
+        real = pdmorse.cli.energy_1d
+        monkeypatch.setattr(
+            pdmorse.cli, "energy_1d",
+            lambda ch, m: replace(real(ch, m), epsilon=real(ch, m).epsilon * 1.001) if m == 0 else real(ch, m),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": -0.76}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        assert "FAIL 1d-oracle: 1D oracle disagreement 9.990e-04" in capsys.readouterr().out
+
     def test_default_config_passes(self, tmp_path, capsys):
         assert run_main("--out", str(tmp_path), "verify") == EXIT_OK
         out = capsys.readouterr().out
