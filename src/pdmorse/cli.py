@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import effective, oracle, spectrum
-from .effective import channels_at, is_reduction_ordering, require_reduction_ordering, ueff_at, veff_at, xi_of
+from .effective import channels_at, require_reduction_ordering, ueff_at, veff_at, xi_of
 from .errors import (
     ConfigError,
     DegenerateWindow,
@@ -36,7 +36,7 @@ from .errors import (
     UnknownLevel,
 )
 from .model import MassParams, Model, OrderingParams, PotentialParams, mass_at, potential_at, solve_ambiguity_free_ordering
-from .morse1d import energy_1d, m_max, wavefunction_1d
+from .morse1d import MorseChannel, energy_1d, m_max, wavefunction_1d
 from .spectrum import (
     EnergyWindow,
     Variant,
@@ -55,7 +55,20 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_INVARIANT = 3
 
-_NUMERIC_ERRORS = (NotConverged, NoBracket, EvaluationOverflow, GridTooSmall)
+#: (error types, exit code, stderr label); an error takes its first matching
+#: row.  main exits and labels by it, verify exits by its first failure's row.
+FAILURES = (
+    ((ConfigError, UnknownLevel, InvalidLevel), EXIT_CONFIG, "error"),
+    ((NotConverged, NoBracket, EvaluationOverflow, GridTooSmall), EXIT_NUMERIC, "numerical failure"),
+    ((Unbounded, DegenerateWindow, OrderingNotSolvable), EXIT_NUMERIC, "error"),
+    ((Exception,), EXIT_INVARIANT, "internal error"),
+)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and stderr label of ``exc``'s row in FAILURES."""
+    return next((code, label) for types, code, label in FAILURES if isinstance(exc, types))
+
 
 #: Example parameter set shipped as the default configuration.
 DEFAULT_CONFIG: dict = {
@@ -259,9 +272,7 @@ def cmd_fields(
         if m is None or n is None:
             raise ConfigError("chi/psi fields need --m and --n")
         window = _resolve_window(cfg)
-        entries = []
-        if m >= 0 and n >= 0:
-            entries = find_roots(model, cfg.variant, m, n, window, cfg.scan_points, cfg.tol_root)
+        entries = find_roots(model, cfg.variant, m, n, window, cfg.scan_points, cfg.tol_root)
         if not entries:
             raise UnknownLevel(f"no spectrum entry for (m, n)=({m}, {n})")
         valid = [e for e in entries if e.valid.all_ok]
@@ -299,8 +310,7 @@ def _check_ordering(cfg: RunConfig) -> str:
 
 def _check_reduction(cfg: RunConfig) -> str:
     model = cfg.model
-    if not is_reduction_ordering(model.ordering):
-        raise OrderingNotSolvable(f"configured ordering {model.ordering} leaves mass-gradient terms")
+    require_reduction_ordering(model.ordering, "the constant-mass reduction")
     xs = np.linspace(-2.0, 6.0, 41)
     X, Y = np.meshgrid(xs, xs)
     M = mass_at(model.mass, X, Y)
@@ -314,11 +324,14 @@ def _check_reduction(cfg: RunConfig) -> str:
     return f"max defect {worst:.3e} on 41x41 grid, 5 energies"
 
 
+def _bound_channels(cfg: RunConfig) -> list[tuple[str, MorseChannel]]:
+    """(axis, channel) for each channel at E = r that holds a bound level."""
+    return [(axis, ch) for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)) if ch.supports_bound_states]
+
+
 def _check_oracle_1d(cfg: RunConfig) -> str:
     worst, cut = 0.0, None
-    for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)):
-        if not ch.supports_bound_states:
-            continue
+    for axis, ch in _bound_channels(cfg):
         top = m_max(ch)
         grid = oracle.auto_grid_1d(ch)
         # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
@@ -345,40 +358,40 @@ def _check_oracle_1d(cfg: RunConfig) -> str:
 
 
 def _check_nodes(cfg: RunConfig) -> str:
-    chx, _ = channels_at(cfg.model, cfg.model.pot.r)
-    if not chx.supports_bound_states:
-        return "skipped: no bound support at r"
-    top = m_max(chx)
-    grid = oracle.auto_grid_1d(chx)
-    xs = np.linspace(grid.x0, grid.x1, 4001)
-    for mm in range(min(top, 4) + 1):
-        st = energy_1d(chx, mm)
-        vals = wavefunction_1d(chx, st, xs)
-        sig = vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))]
-        nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
-        assert nodes == mm, f"level {mm} shows {nodes} sign changes"
-    return f"node counts match m for m<= {min(top, 4)}"
+    counted = []
+    for axis, ch in _bound_channels(cfg):
+        top = min(m_max(ch), 4)
+        grid = oracle.auto_grid_1d(ch)
+        xs = np.linspace(grid.x0, grid.x1, 4001)
+        for mm in range(top + 1):
+            vals = wavefunction_1d(ch, energy_1d(ch, mm), xs)
+            sig = vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))]
+            nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
+            assert nodes == mm, f"{axis}-axis level {mm} shows {nodes} sign changes"
+        counted.append(f"{axis}: m <= {top}")
+    return f"node counts match m ({', '.join(counted)})" if counted else "skipped: no bound support at r"
 
 
 def _check_orthogonality(cfg: RunConfig) -> str:
-    chx, _ = channels_at(cfg.model, cfg.model.pot.r)
-    if not chx.supports_bound_states or m_max(chx) < 1:
-        return "skipped: fewer than two levels"
-    s0 = energy_1d(chx, 0)
-    s1 = energy_1d(chx, 1)
     # Composite 20-point Gauss-Legendre over the oracle domain plus 40
     # e-foldings of level 1's slower outer tail.  numpy's rule: importing
     # scipy.integrate would add ~23 MB to this command's peak memory.
-    grid = oracle.auto_grid_1d(chx)
-    hi = grid.x1 + 40.0 / (s1.mu * chx.alpha)
-    edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    t = (mid[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
-    overlap = float(np.sum(w * s0.norm * wavefunction_1d(chx, s0, t) * s1.norm * wavefunction_1d(chx, s1, t)))
-    assert abs(overlap) < 1e-8, f"levels 0 and 1 overlap {overlap:.3e}"
-    return f"<0|1> = {abs(overlap):.3e}"
+    overlaps = []
+    for axis, ch in _bound_channels(cfg):
+        if m_max(ch) < 1:
+            continue
+        s0, s1 = energy_1d(ch, 0), energy_1d(ch, 1)
+        grid = oracle.auto_grid_1d(ch)
+        hi = grid.x1 + 40.0 / (s1.mu * ch.alpha)
+        edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        t = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel()
+        overlap = float(np.sum(w * s0.norm * wavefunction_1d(ch, s0, t) * s1.norm * wavefunction_1d(ch, s1, t)))
+        assert abs(overlap) < 1e-8, f"{axis}-axis levels 0 and 1 overlap {overlap:.3e}"
+        overlaps.append(f"{axis}: <0|1> = {abs(overlap):.3e}")
+    return ", ".join(overlaps) or "skipped: fewer than two levels"
 
 
 def _check_backsub(cfg: RunConfig, window, entries, fp_entries) -> str:
@@ -432,28 +445,22 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Run every invariant check, printing one pass/fail/skip line per check.
+    """Run every invariant check, printing one pass/fail line per check.
 
-    Without the reducing ordering there is no condition to solve and no study,
-    and the checks that read it are skipped.  When resolving the study fails,
-    each of them fails with that error.
+    When resolving the study fails, each check that reads it fails with that
+    error.  The first failing check's error sets the exit code by FAILURES.
     """
-    study = None
-    if is_reduction_ordering(cfg.model.ordering):
-        try:
-            window = _resolve_window(cfg)
-            run = lambda v: enumerate_spectrum(cfg.model, v, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
-            entries = run(cfg.variant)
-            # Printed-condition roots are not eigenvalues of the reduced PDE.
-            fp_entries = entries if cfg.variant is Variant.FIRST_PRINCIPLES else run(Variant.FIRST_PRINCIPLES)
-            study = (window, entries, fp_entries)
-        except Exception as exc:  # noqa: BLE001 - each check that reads the study reports it
-            study = exc
+    try:
+        window = _resolve_window(cfg)
+        run = lambda v: enumerate_spectrum(cfg.model, v, window, cfg.max_q, cfg.scan_points, cfg.tol_root)
+        entries = run(cfg.variant)
+        # Printed-condition roots are not eigenvalues of the reduced PDE.
+        fp_entries = entries if cfg.variant is Variant.FIRST_PRINCIPLES else run(Variant.FIRST_PRINCIPLES)
+        study = (window, entries, fp_entries)
+    except Exception as exc:  # noqa: BLE001 - each check that reads the study reports it
+        study = exc
     first_failure = None
     for name, check, reads_study in VERIFY_CHECKS:
-        if reads_study and study is None:
-            print(f"SKIP {name}: requires the solvable ordering")
-            continue
         try:
             if reads_study and isinstance(study, Exception):
                 raise study
@@ -467,7 +474,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         return EXIT_OK
     name, exc = first_failure
     print(f"first failing check: {name}")
-    return EXIT_NUMERIC if isinstance(exc, _NUMERIC_ERRORS) else EXIT_INVARIANT
+    return _failure(exc)[0]
 
 
 def _is_reference_model(model: Model) -> bool:
@@ -592,18 +599,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare-table":
             return cmd_compare_table(cfg, args.out)
         return cmd_oracle(cfg, args.m, args.n)
-    except (ConfigError, UnknownLevel, InvalidLevel) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (Unbounded, DegenerateWindow, OrderingNotSolvable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PdmorseError as exc:  # pragma: no cover - safety net
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except PdmorseError as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmorse import energy_window
+from pdmorse import channels_at, energy_window, errors
 from pdmorse.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_NUMERIC,
     EXIT_OK,
+    FAILURES,
     VERIFY_CHECKS,
     config_from_dict,
     load_config,
@@ -266,6 +267,13 @@ class TestFieldsCommand:
         assert err.startswith(f"error: no valid spectrum entry for (m, n)=({m}, {n}); invalid paper-printed roots: E=")
         assert not (tmp_path / "field.csv").exists()
 
+    def test_negative_quantum_number_exits_config_error(self, tmp_path, capsys):
+        assert run_main("--out", str(tmp_path), "fields", "--which", "psi", "--m", "-1", "--n", "0") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quantum numbers must be non-negative, got (-1, 0)\n"
+        assert not (tmp_path / "field.csv").exists()
+
     def test_ueff_field(self, tmp_path):
         assert run_main("--out", str(tmp_path), "fields", "--which", "ueff", "--energy", "0.0") == EXIT_OK
         rows = read_csv(tmp_path / "field.csv")
@@ -292,11 +300,11 @@ class TestVerifyCommand:
         assert [name for name, _, _ in VERIFY_CHECKS] == names
         assert run_main("--out", str(tmp_path), "verify") == EXIT_OK
         assert verify_statuses(capsys.readouterr().out) == [("PASS", name) for name in names]
-        # Under an ordering that does not reduce, the four study checks are skipped.
+        # Under an ordering that does not reduce, the four study checks fail.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}}))
-        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_INVARIANT
-        statuses = ["PASS", "FAIL", "PASS", "PASS", "PASS", "SKIP", "SKIP", "SKIP", "SKIP"]
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_NUMERIC
+        statuses = ["PASS", "FAIL", "PASS", "PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL"]
         assert verify_statuses(capsys.readouterr().out) == list(zip(statuses, names))
 
     @pytest.mark.parametrize("b1, mu, rel", [(-0.76, "2.000e-02", "7.149e-03"), (-0.7501, "2.000e-04", "2.130e+03")])
@@ -343,6 +351,39 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert out.count("PASS") == 9
         assert "PASS 1d-oracle: max relative eigenvalue error 4.16" in out
+        assert "PASS node-counts: node counts match m (x: m <= 1, y: m <= 1)\n" in out
+        assert "PASS orthogonality: x: <0|1> = 1.247e-17, y: <0|1> = 1.247e-17\n" in out
+
+    def test_model_bound_only_along_y_checks_y(self, tmp_path, capsys):
+        # The x channel binds nothing at E = r; the potential is unbounded.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": 0, "g1": 0}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_NUMERIC
+        out = capsys.readouterr().out.splitlines()
+        assert "PASS node-counts: node counts match m (y: m <= 1)" in out
+        assert "PASS orthogonality: y: <0|1> = 1.247e-17" in out
+
+    def test_corrupt_y_states_fail_node_counts_and_orthogonality(self, tmp_path, capsys, monkeypatch):
+        import pdmorse.cli
+
+        data = {"a2": 1.3, "b3": -1.1, "g3": 0.4}
+        model = config_from_dict(data).model
+        chx, chy = channels_at(model, model.pot.r)
+        assert chx != chy
+        # |phi| erases level 1's node and makes it overlap level 0; x stays exact.
+        real = pdmorse.cli.wavefunction_1d
+        monkeypatch.setattr(
+            pdmorse.cli, "wavefunction_1d", lambda ch, s, t: np.abs(real(ch, s, t)) if ch == chy else real(ch, s, t)
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert [status for status in verify_statuses(out) if status[0] != "PASS"] == [
+            ("FAIL", "node-counts"), ("FAIL", "orthogonality")
+        ]
+        assert "FAIL node-counts: y-axis level 1 shows 0 sign changes" in out
+        assert "FAIL orthogonality: y-axis levels 0 and 1 overlap " in out
 
     def test_shallow_level_passes_1d_oracle(self, tmp_path, capsys):
         # The y channel's top level (eps = -0.0451, mu = 0.177) misses by
@@ -382,12 +423,13 @@ class TestVerifyCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"ordering": {"alpha": 0.0, "beta": -1.0, "gamma": 0.0}}))
         code = run_main("--config", str(path), "--out", str(tmp_path), "verify")
-        assert code == EXIT_INVARIANT
+        assert code == EXIT_NUMERIC
         out = capsys.readouterr().out
         assert "FAIL reduction-identity" in out
         assert "first failing check: reduction-identity" in out
-        assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
-            f"SKIP {name}: requires the solvable ordering"
+        assert [line for line in out.splitlines() if line.startswith("FAIL")][1:] == [
+            f"FAIL {name}: the self-consistency condition requires the ordering with vanishing mass-gradient "
+            "coefficients (alpha=gamma=-1/2, beta=0); got OrderingParams(alpha=0.0, beta=-1.0, gamma=0.0)"
             for name in ("back-substitution", "pde-residual", "window-containment", "degeneracy")
         ]
 
@@ -416,7 +458,7 @@ class TestVerifyCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"b1": 0.0, "b2": 0.0, "b3": 0.0, "b4": 0.0, "g1": 0.0, "g3": 0.0}))
         code = run_main("--config", str(path), "--variant", variant, "--out", str(tmp_path), "verify")
-        assert code == EXIT_INVARIANT
+        assert code == EXIT_NUMERIC
         out = capsys.readouterr().out
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert [line.split(":")[0] for line in failed] == [
@@ -436,6 +478,68 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         run_main("--out", str(tmp_path), "verify")
         assert capsys.readouterr().out == first
+
+
+def readme_exit_codes() -> list[tuple[tuple[str, ...], int, str]]:
+    """(error type names, exit code, stderr label) of each row of README's exit-code table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| (.+) \| (\d) \| `([a-z ]+)` \|$", section, flags=re.M)
+    return [(tuple(re.findall(r"`([A-Z]\w*)`", types)), int(code), label) for types, code, label in rows]
+
+
+def pdmorse_errors() -> list[Exception]:
+    """One instance of every PdmorseError subclass in pdmorse.errors, the base included."""
+    args = {errors.EvaluationOverflow: ("V", 1.0), errors.Unbounded: (1.0, 1.0, -1.0)}
+    types = [t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.PdmorseError)]
+    return [t(*args.get(t, ("boom",))) for t in types]
+
+
+class TestFailureTable:
+    """main and verify give an error the exit code of its row in the one table README shows."""
+
+    def test_readme_shows_the_table(self):
+        rows = readme_exit_codes()
+        assert len(rows) == 4
+        assert rows == [(tuple(t.__name__ for t in types), code, label) for types, code, label in FAILURES]
+
+    def test_every_error_type_is_covered(self):
+        assert len(pdmorse_errors()) == 12
+
+    @pytest.mark.parametrize("exc", pdmorse_errors(), ids=lambda exc: type(exc).__name__)
+    def test_main_and_verify_exit_alike(self, tmp_path, capsys, monkeypatch, exc):
+        import pdmorse.cli
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(pdmorse.cli, "energy_window", fail)
+        code = run_main("oracle", "--m", "0", "--n", "0")
+        names = {t.__name__ for t in type(exc).__mro__}
+        expected, label = next((c, lab) for types, c, lab in readme_exit_codes() if names & set(types))
+        assert (code, capsys.readouterr().err) == (expected, f"{label}: {exc}\n")
+        # Raised while verify resolves its study, and raised by a check itself.
+        monkeypatch.setattr(pdmorse.cli, "VERIFY_CHECKS", (("study", lambda cfg, *study: "read", True),))
+        assert run_main("verify") == code
+        monkeypatch.setattr(pdmorse.cli, "VERIFY_CHECKS", (("own", fail, False),))
+        assert run_main("verify") == code
+        out = capsys.readouterr().out
+        assert f"FAIL study: {exc}\n" in out and f"FAIL own: {exc}\n" in out
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"b1": 0, "g1": 0},
+            {"b1": 0, "b2": 0, "b3": 0, "b4": 0, "g1": 0, "g3": 0},
+            {"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}},
+        ],
+        ids=["unbounded", "flat-window", "non-reducing-ordering"],
+    )
+    def test_verify_exits_as_oracle_does(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_main("--config", str(path), "oracle", "--m", "0", "--n", "0") == EXIT_NUMERIC
+        assert run_main("--config", str(path), "verify") == EXIT_NUMERIC
 
 
 class TestCompareTableCommand:
