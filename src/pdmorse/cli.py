@@ -326,12 +326,15 @@ def _check_reduction(cfg: RunConfig) -> str:
 
 def _bound_channels(cfg: RunConfig) -> list[tuple[str, MorseChannel]]:
     """(axis, channel) for each channel at E = r that holds a bound level."""
-    return [(axis, ch) for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)) if ch.supports_bound_states]
+    return [(axis, ch) for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)) if m_max(ch) is not None]
 
 
 def _check_oracle_1d(cfg: RunConfig) -> str:
+    channels = _bound_channels(cfg)
+    if not channels:
+        return "skipped: no channel holds a level at r"
     worst, cut = 0.0, None
-    for axis, ch in _bound_channels(cfg):
+    for axis, ch in channels:
         top = m_max(ch)
         grid = oracle.auto_grid_1d(ch)
         # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
@@ -369,7 +372,7 @@ def _check_nodes(cfg: RunConfig) -> str:
             nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
             assert nodes == mm, f"{axis}-axis level {mm} shows {nodes} sign changes"
         counted.append(f"{axis}: m <= {top}")
-    return f"node counts match m ({', '.join(counted)})" if counted else "skipped: no bound support at r"
+    return f"node counts match m ({', '.join(counted)})" if counted else "skipped: no channel holds a level at r"
 
 
 def _check_orthogonality(cfg: RunConfig) -> str:

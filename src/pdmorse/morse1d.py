@@ -1,9 +1,9 @@
 """Closed-form bound states of -X'' + (eta e^{-ax} + nu e^{-2ax}) X = eps X.
 
-A channel with nu > 0 and eta < 0 holds finitely many bound levels.  In the
-variable z = (2 sqrt(nu)/a) e^{-ax} the eigenfunctions are
-z^mu e^{-z/2} L_m^{2mu}(z) with mu = sqrt(|eps_m|)/a, and the level count is
-capped by |eta| > a sqrt(nu) (2m+1).  Normalization is exact as well: in z the
+Level m is bound exactly when nu > 0, eta < 0 and |eta| > a sqrt(nu) (2m+1) (P. M.
+Morse, Phys. Rev. 34, 57, 1929); :func:`level_epsilon` alone decides it.  In
+z = (2 sqrt(nu)/a) e^{-ax} the eigenfunctions are z^mu e^{-z/2} L_m^{2mu}(z)
+with mu = sqrt(|eps_m|)/a.  Normalization is exact as well: in z the
 squared norm is Gamma(m + 2mu + 1) / (a m! 2mu) (J. P. Dahl and M. Springborg,
 J. Chem. Phys. 88, 4535, 1988), so every state carries its L2 constant from
 the moment it is built.
@@ -31,10 +31,6 @@ class MorseChannel:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"decay rate must be positive, got {self.alpha!r}")
-
-    @property
-    def supports_bound_states(self) -> bool:
-        return self.nu > 0.0 and self.eta < 0.0
 
     @property
     def lam(self) -> float:
@@ -75,31 +71,24 @@ def channel_from_gammas(gamma_lin: float, gamma_quad: float, decay: float, hbar:
 
 
 def m_max(ch: MorseChannel) -> int | None:
-    """Largest m with |eta| > a sqrt(nu) (2m+1), or None without bound states.
-
-    The inequality is strict: a level exactly at threshold has zero energy
-    and is not normalizable, so it does not count.
-    """
-    if not ch.supports_bound_states:
-        return None
-    top = math.ceil(ch.lam - 0.5) - 1
-    return top if top >= 0 else None
+    """Largest m that :func:`level_epsilon` admits, or None; searched down from
+    ceil(lam - 1/2), since lam may round to either side of the rule at threshold."""
+    start = math.ceil(ch.lam - 0.5) if ch.nu > 0.0 else -1
+    return next((m for m in range(start, -1, -1) if not math.isnan(level_epsilon(ch, m))), None)
 
 
 def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
     """Closed-form level m: eps_m = -(1/4nu) [|eta| - a sqrt(nu) (2m+1)]^2.
 
+    Raises NoBoundStates when the channel binds no level, else InvalidLevel when m is not bound.
     The L2 constant is N = sqrt(a m! 2mu / Gamma(m + 2mu + 1)), taken through
     log-gammas so that deep channels (large mu) do not overflow.
     """
-    if not ch.supports_bound_states:
-        raise NoBoundStates(f"channel {ch} has no bound states (need nu>0 and eta<0)")
-    top = m_max(ch)
-    if top is None or m > top:
-        raise InvalidLevel(f"level m={m} exceeds m_max={top} for channel {ch}")
-    if m < 0:
-        raise InvalidLevel(f"quantum number must be non-negative, got {m}")
     eps = float(level_epsilon(ch, m))
+    if math.isnan(eps) and m_max(ch) is None:
+        raise NoBoundStates(f"channel {ch} binds no level (needs nu > 0 and lam > 1/2)")
+    if math.isnan(eps):
+        raise InvalidLevel(f"level m={m} is not bound in channel {ch}, which binds m = 0..{m_max(ch)}")
     mu = math.sqrt(-eps) / ch.alpha
     log_norm2 = math.log(ch.alpha * 2.0 * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0)
     return Bound1D(m=m, epsilon=eps, mu=mu, norm=math.exp(0.5 * log_norm2))
@@ -108,15 +97,13 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
 def level_epsilon(ch: MorseChannel, m: int):
     """eps_m elementwise over array-valued eta and nu; NaN where level m is not bound.
 
-    Level m is bound when nu > 0, eta < 0 and m <= ceil(lam - 1/2) - 1, the
-    same cap as :func:`m_max`.
+    The one rule for a bound level: level m is bound exactly when nu > 0, m >= 0 and
+    -eta > a sqrt(nu) (2m+1), so eta < 0 and m < lam - 1/2.  Strict as computed, it
+    keeps every bound eps_m < 0: a level at threshold is not normalizable.
     """
     with np.errstate(all="ignore"):
-        root_nu = np.sqrt(ch.nu)
-        lam = -ch.eta / (2.0 * ch.alpha * root_nu)
-        bound = (ch.nu > 0.0) & (ch.eta < 0.0) & (m <= np.ceil(lam - 0.5) - 1)
-        bracket = np.abs(ch.eta) - ch.alpha * root_nu * (2 * m + 1)
-        return np.where(bound, -(bracket * bracket) / (4.0 * ch.nu), np.nan)
+        bracket = -ch.eta - ch.alpha * np.sqrt(ch.nu) * (2 * m + 1)
+        return np.where((ch.nu > 0.0) & (m >= 0) & (bracket > 0.0), -(bracket * bracket) / (4.0 * ch.nu), np.nan)
 
 
 def _laguerre(n: int, a: float, z):

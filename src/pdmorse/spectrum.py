@@ -26,7 +26,7 @@ from . import oracle
 from .effective import channels_at, epsilon_of, gammas_at, require_reduction_ordering, ueff_at
 from .errors import DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
-from .morse1d import energy_1d, level_epsilon, m_max, wavefunction_1d
+from .morse1d import energy_1d, level_epsilon, wavefunction_1d
 
 
 class Variant(enum.Enum):
@@ -146,11 +146,9 @@ def _onset_defect(model: Model, m: int, n: int, e):
 def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
     """Recompute the bound-state validity flags at energy e."""
     chx, chy = channels_at(model, e)
-    top_x = m_max(chx)
-    top_y = m_max(chy)
     return ValidityFlags(
-        level_x_allowed=top_x is not None and m <= top_x,
-        level_y_allowed=top_y is not None and n <= top_y,
+        level_x_allowed=not np.isnan(level_epsilon(chx, m)),
+        level_y_allowed=not np.isnan(level_epsilon(chy, n)),
     )
 
 

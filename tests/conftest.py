@@ -61,8 +61,6 @@ def draw_supported_channels(seed: int, count: int, mu_margin: float = 0.4, top_c
             nu=rng.uniform(0.05, 1.0),
             alpha=rng.uniform(0.5, 2.0),
         )
-        if not ch.supports_bound_states:
-            continue
         top = m_max(ch)
         if top is None or top > top_cap:
             continue

@@ -168,6 +168,13 @@ class TestConfig:
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: field '")
 
+    def test_missing_config_file_exits_config_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config {str(path)!r}: [Errno 2] No such file or directory")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -274,6 +281,14 @@ class TestFieldsCommand:
         assert captured.err == "error: quantum numbers must be non-negative, got (-1, 0)\n"
         assert not (tmp_path / "field.csv").exists()
 
+    @pytest.mark.parametrize("given", [(), ("--m", "0"), ("--n", "0")])
+    def test_chi_without_both_quantum_numbers_exits_config_error(self, tmp_path, capsys, given):
+        assert run_main("--out", str(tmp_path), "fields", "--which", "chi", *given) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chi/psi fields need --m and --n\n"
+        assert not (tmp_path / "field.csv").exists()
+
     def test_ueff_field(self, tmp_path):
         assert run_main("--out", str(tmp_path), "fields", "--which", "ueff", "--energy", "0.0") == EXIT_OK
         rows = read_csv(tmp_path / "field.csv")
@@ -362,6 +377,40 @@ class TestVerifyCommand:
         out = capsys.readouterr().out.splitlines()
         assert "PASS node-counts: node counts match m (y: m <= 1)" in out
         assert "PASS orthogonality: y: <0|1> = 1.247e-17" in out
+
+    @pytest.mark.parametrize(
+        "data, oracle_1d, nodes, overlaps",
+        [
+            # At E = r the x channel has lam = 0.4 and binds nothing: only y is checked.
+            (
+                {"b1": -0.2}, "max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
+                "node counts match m (y: m <= 1)", "y: <0|1> = 1.247e-17",
+            ),
+            # x binds level 0 alone: its nodes are counted, but it has no pair to overlap.
+            (
+                {"b1": -0.3}, "max relative eigenvalue error 3.960e-07 (Richardson, h and h/2)",
+                "node counts match m (x: m <= 0, y: m <= 1)", "y: <0|1> = 1.247e-17",
+            ),
+            # Neither channel holds a level at E = r.
+            (
+                {"b1": -0.2, "b3": -0.2}, "skipped: no channel holds a level at r",
+                "skipped: no channel holds a level at r", "skipped: fewer than two levels",
+            ),
+        ],
+        ids=["x-binds-none", "x-binds-one", "neither-binds"],
+    )
+    def test_channel_checks_read_the_channels_that_hold_a_level(
+        self, tmp_path, capsys, data, oracle_1d, nodes, overlaps
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_OK
+        out = capsys.readouterr().out
+        assert verify_statuses(out) == [("PASS", name) for name in readme_verify_checks()]
+        assert f"PASS 1d-oracle: {oracle_1d}\n" in out
+        assert f"PASS node-counts: {nodes}\n" in out
+        assert f"PASS orthogonality: {overlaps}\n" in out
+        assert out.endswith("all checks passed\n")
 
     def test_corrupt_y_states_fail_node_counts_and_orthogonality(self, tmp_path, capsys, monkeypatch):
         import pdmorse.cli
@@ -603,6 +652,19 @@ class TestOracleCommand:
     def test_default_config_energies_pinned(self, tmp_path, capsys, m, n, line):
         assert run_main("--out", str(tmp_path), "oracle", "--m", m, "--n", n) == EXIT_OK
         assert line in capsys.readouterr().out.splitlines()
+
+    def test_level_the_closed_form_rules_out(self, tmp_path, capsys):
+        # Below E = 0.05 the x channel binds nothing, but the Dirichlet box
+        # always binds a lowest state, so the oracle still finds a (0,0).
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b1": -0.2}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "oracle", "--m", "0", "--n", "0") == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "finite-difference energy (0,0): -0.028058925521836135\n"
+            "closed form found no root for these quantum numbers\n"
+        )
+        assert captured.err == ""
 
     def test_no_bracket_exits_numeric(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

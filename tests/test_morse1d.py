@@ -15,7 +15,7 @@ from pdmorse import (
     m_max,
     wavefunction_1d,
 )
-from pdmorse.morse1d import _laguerre, channel_from_gammas
+from pdmorse.morse1d import _laguerre, channel_from_gammas, level_epsilon
 from tests.conftest import draw_supported_channels, quad_overlap
 
 
@@ -33,12 +33,12 @@ class TestChannelFromGammas:
     def test_reference_weights(self):
         ch = channel_from_gammas(-1.0, 0.125, 1.0, 1.0)
         assert (ch.eta, ch.nu, ch.alpha) == (-2.0, 0.25, 1.0)
-        assert ch.supports_bound_states
+        assert m_max(ch) == 1
 
     def test_zero_weights_no_support(self):
         ch = channel_from_gammas(0.0, 0.0, 1.0, 1.0)
         assert (ch.eta, ch.nu) == (0.0, 0.0)
-        assert not ch.supports_bound_states
+        assert m_max(ch) is None
 
     def test_hbar_scaling(self):
         ch = channel_from_gammas(-1.0, 0.125, 1.0, 2.0)
@@ -73,6 +73,53 @@ class TestLevelCount:
         # lam = 1.5 exactly: m=1 needs 2m+1 < 3, excluded by strictness.
         ch = MorseChannel(eta=-1.5, nu=0.25, alpha=1.0)
         assert m_max(ch) == 0
+
+
+@st.composite
+def any_channels(draw):
+    """Channels that bind or not: eta >= 0, nu < 0, nu = 0, shallow wells and levels at threshold."""
+    alpha = draw(st.floats(0.1, 3.0))
+    # |nu| >= 1e-9 keeps lam below 1e7: past 2^53 a level index has no exact double.
+    nu = draw(st.one_of(st.just(0.0), st.floats(-2.0, -1e-9), st.floats(1e-9, 2.0), st.floats(1e-9, 1e-3)))
+    # lam = -eta / (2 a sqrt(nu)); lam <= 1/2 is a well too shallow to bind.
+    lam = draw(st.one_of(st.floats(-2.0, 40.0), st.integers(0, 40).map(lambda k: k + 0.5)))
+    eta = draw(st.one_of(st.floats(-30.0, 5.0), st.just(0.0), st.just(-2.0 * alpha * math.sqrt(max(nu, 0.0)) * lam)))
+    return MorseChannel(eta=eta, nu=nu, alpha=alpha)
+
+
+class TestOneRule:
+    def test_negative_level_is_not_bound(self, paper_channel):
+        # The formula alone would give eps_{-1} = -6.25, below the ground level -2.25.
+        assert math.isnan(level_epsilon(paper_channel, -1))
+        with pytest.raises(InvalidLevel, match=r"level m=-1 is not bound .*, which binds m = 0\.\.1$"):
+            energy_1d(paper_channel, -1)
+
+    def test_shallow_well_binds_nothing(self):
+        # nu > 0 and eta < 0, but lam = 0.4: not even level 0 is bound.
+        ch = MorseChannel(eta=-0.4, nu=0.25, alpha=1.0)
+        assert math.isnan(level_epsilon(ch, 0))
+        with pytest.raises(NoBoundStates, match=r"binds no level \(needs nu > 0 and lam > 1/2\)$"):
+            energy_1d(ch, 0)
+
+    @given(ch=any_channels())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_m_max_and_energy_1d_follow_level_epsilon(self, ch):
+        top = m_max(ch)
+        # A weak nu makes lam huge, so probe both ends of 0..m_max.
+        ms = sorted(set(range(-3, 4)) | (set() if top is None else set(range(top - 3, top + 4))))
+        finite = [m for m in ms if np.isfinite(level_epsilon(ch, m))]
+        assert finite == [m for m in ms if top is not None and 0 <= m <= top]
+        for m in ms:
+            if m in finite:
+                assert energy_1d(ch, m).epsilon == float(level_epsilon(ch, m)) < 0.0
+            else:
+                with pytest.raises(NoBoundStates if top is None else InvalidLevel):
+                    energy_1d(ch, m)
+        # Elementwise over array weights, the rule gives each element's scalar answer.
+        arr = MorseChannel(eta=np.array([ch.eta, -2.0]), nu=np.array([ch.nu, 0.25]), alpha=ch.alpha)
+        for m in ms:
+            want = [float(level_epsilon(ch, m)), float(level_epsilon(MorseChannel(-2.0, 0.25, ch.alpha), m))]
+            np.testing.assert_array_equal(level_epsilon(arr, m), want)
 
 
 class TestEnergy1D:

@@ -284,6 +284,12 @@ class TestFdEigen2D:
             pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, [(484, 10)], id="near-symmetric10"),
             # k = N - 1 is more than the two blocks return: one block of N.
             pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, [(196, 195)], id="all-but-one"),
+            # The even block's 77th level lies below the merged 150th; asked
+            # again for 154, more than its 105 columns, it yields to the whole operator.
+            pytest.param(
+                lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-3.0, 3.0, 16), Grid1D(-3.0, 3.0, 16)), 150,
+                [(105, 77), (91, 77), (196, 150)], id="blocks-fall-back150",
+            ),
         ],
     )
     def test_swap_blocks_match_dense(self, eigsh_calls, u, grid, k, calls):
@@ -377,6 +383,36 @@ class TestOracleEnergy2D:
         e = oracle_energy_2d(reference_model, 0, 0, window, grid)
         e_closed = (math.sqrt(29.0) - 7.0) / 8.0
         assert abs(e - e_closed) < 1e-3
+
+    def test_box_state_below_the_closed_forms_falls_as_the_box_widens(self, reference_model):
+        # With b1 = -0.2 the x channel binds nothing below E = 0.05, so the
+        # closed form has no (0,0), yet the Dirichlet box always binds a
+        # lowest state.  Widened at fixed h, that state sinks to the x
+        # continuum edge, and its (0,0) towards the energy where the y ground
+        # level alone meets eps(E): (sqrt(15) - 4)/4.  (0,1) is a level of
+        # both closed forms and holds still.
+        from pdmorse import Variant, find_roots
+
+        model = replace(reference_model, pot=replace(reference_model.pot, b1=-0.2))
+        assert m_max(channels_at(model, 0.0499)[0]) is None and m_max(channels_at(model, 0.0501)[0]) == 0
+        window = energy_window(model)
+        assert find_roots(model, Variant.FIRST_PRINCIPLES, 0, 0, window) == []
+        (closed,) = find_roots(model, Variant.FIRST_PRINCIPLES, 0, 1, window)
+        assert closed.energy == pytest.approx(0.2928079, abs=1e-7)
+        threshold = (math.sqrt(15.0) - 4.0) / 4.0
+        ground, first = [], []
+        for x1, n in ((14.0, 192), (32.0, 383), (68.0, 765)):
+            axis = Grid1D(-4.0, x1, n)
+            assert axis.h == pytest.approx(18.0 / 191.0, rel=1e-12)
+            grid = Grid2D(axis, axis)
+            ground.append(oracle_energy_2d(model, 0, 0, window, grid))
+            first.append(oracle_energy_2d(model, 0, 1, window, grid))
+        assert ground == pytest.approx([-0.028059, -0.031001, -0.031699], abs=5e-7)
+        # The gap to the threshold shrinks by 4.9, then by 13.6.
+        gaps = [e - threshold for e in ground]
+        assert gaps[1] < gaps[0] / 4.0 and 0.0 < gaps[2] < gaps[1] / 10.0
+        # 6.4e-4 below the closed form on every box: the h^2 error.
+        assert first == pytest.approx([0.2921667] * 3, abs=2e-7)
 
     def test_nonreducing_ordering_raises(self, reference_model):
         model = replace(reference_model, ordering=OrderingParams(-0.4, -0.2, -0.4))

@@ -28,6 +28,7 @@ from pdmorse import (
     find_roots,
     gammas_at,
     group_degeneracies,
+    m_max,
     mass_at,
     mismatch,
     pde_residual,
@@ -499,7 +500,7 @@ class TestPdeResidual:
             ordering=OrderingParams(-0.5, 0, -0.5),
         )
         chx, chy = channels_at(model, 0.0)
-        assert not chx.supports_bound_states and not chy.supports_bound_states
+        assert m_max(chx) is None and m_max(chy) is None
         with pytest.raises(DegenerateWindow):
             energy_window(model)
         w = EnergyWindow(-1.0, 1.0)  # even with a forced window: no roots
