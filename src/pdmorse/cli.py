@@ -14,6 +14,7 @@ newlines so repeated runs are byte-identical.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -31,7 +32,6 @@ from .errors import (
     NoBracket,
     NotConverged,
     OrderingNotSolvable,
-    PdmorseError,
     Unbounded,
     UnknownLevel,
 )
@@ -111,18 +111,20 @@ class RunConfig:
 
 
 def _leaf(key: str, value, default):
-    """``value`` as its default's type: a float default takes any number, an
-    int default only an integer, and a bool is neither."""
+    """``value`` as its default's type: a float default takes any finite
+    number, an int default only an integer, and a bool is neither."""
     kind = float if isinstance(default, float) else int
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ConfigError(f"field '{key}' must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field '{key}' must be finite, got {value!r}")
     return kind(value)
 
 
 def _tolerance(key: str, value, default) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
         raise ConfigError(f"tolerance '{key}' must be a positive number, got {value!r}")
-    return float(value)
+    return _leaf(key, value, default)
 
 
 def _object(name: str, value, shape: dict, leaf=_leaf) -> dict:
@@ -223,7 +225,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def _resolve_window(cfg: RunConfig) -> EnergyWindow:
     # Without the reducing ordering there is no condition for a window to bound.
-    require_reduction_ordering(cfg.model.ordering, "the self-consistency condition")
+    require_reduction_ordering(cfg.model.ordering)
     return cfg.window if cfg.window is not None else energy_window(cfg.model)
 
 
@@ -265,6 +267,8 @@ def cmd_fields(
 ) -> int:
     """Sample the requested field over the config grid into field.csv."""
     path = _csv_path(out_dir, "field.csv")
+    if not math.isfinite(energy):
+        raise ConfigError(f"--energy must be finite, got {energy!r}")
     model = cfg.model
     X, Y = np.meshgrid(cfg.grid.x.nodes(), cfg.grid.y.nodes(), indexing="ij")
 
@@ -310,7 +314,6 @@ def _check_ordering(cfg: RunConfig) -> str:
 
 def _check_reduction(cfg: RunConfig) -> str:
     model = cfg.model
-    require_reduction_ordering(model.ordering, "the constant-mass reduction")
     xs = np.linspace(-2.0, 6.0, 41)
     X, Y = np.meshgrid(xs, xs)
     M = mass_at(model.mass, X, Y)
@@ -602,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare-table":
             return cmd_compare_table(cfg, args.out)
         return cmd_oracle(cfg, args.m, args.n)
-    except PdmorseError as exc:
+    except Exception as exc:  # noqa: BLE001 - FAILURES' last row labels any other error
         code, label = _failure(exc)
         print(f"{label}: {exc}", file=sys.stderr)
         return code

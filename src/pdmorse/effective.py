@@ -43,19 +43,11 @@ def laplacian_coefficient(ordering: OrderingParams) -> float:
     return ordering.alpha + ordering.gamma + 1.0
 
 
-def is_reduction_ordering(ordering: OrderingParams) -> bool:
-    """True when both mass-gradient coefficients vanish."""
-    return (
-        abs(grad_coefficient(ordering)) <= REDUCTION_TOL
-        and abs(laplacian_coefficient(ordering)) <= REDUCTION_TOL
-    )
-
-
-def require_reduction_ordering(ordering: OrderingParams, what: str) -> None:
-    """Raise OrderingNotSolvable unless the ordering reduces; ``what`` names the caller's object."""
-    if not is_reduction_ordering(ordering):
+def require_reduction_ordering(ordering: OrderingParams) -> None:
+    """Raise OrderingNotSolvable unless both mass-gradient coefficients vanish."""
+    if not (abs(grad_coefficient(ordering)) <= REDUCTION_TOL and abs(laplacian_coefficient(ordering)) <= REDUCTION_TOL):
         raise OrderingNotSolvable(
-            f"{what} requires the ordering with vanishing mass-gradient "
+            "the reduced problem requires the ordering with vanishing mass-gradient "
             f"coefficients (alpha=gamma=-1/2, beta=0); got {ordering}"
         )
 
@@ -80,8 +72,10 @@ def veff_at(model: Model, x, y):
 def gammas_at(model: Model, e_trial: float) -> GammaSet:
     """Reduced-potential weights gamma_i = b_i + m0 (r - E) g_i at trial E.
 
-    Elementwise: an array of trial energies gives arrays of weights.
+    Elementwise: an array of trial energies gives arrays of weights.  Raises
+    OrderingNotSolvable under a non-reducing ordering: every reduced object starts here.
     """
+    require_reduction_ordering(model.ordering)
     shift = model.mass.m0 * (model.pot.r - e_trial)
     return GammaSet(
         gamma1=model.pot.b1 + shift * model.mass.g1,
@@ -116,7 +110,6 @@ def ueff_at(model: Model, e_trial: float, x, y):
     Only valid under the ambiguity-free ordering; anything else leaves
     residual mass-gradient terms and is rejected.
     """
-    require_reduction_ordering(model.ordering, "reduced potential")
     g = gammas_at(model, e_trial)
     u = exponential_sum(model.mass, g.gamma1, g.gamma2, g.gamma3, g.gamma4, x, y)
     return u if np.ndim(u) else float(u)

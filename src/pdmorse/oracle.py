@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import channels_at, epsilon_of, require_reduction_ordering
+from .effective import channels_at, epsilon_of
 from .errors import EvaluationOverflow, GridTooSmall, InvalidLevel, NoBracket, NotConverged, Unbounded
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
@@ -280,7 +280,6 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> floa
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    require_reduction_ordering(model.ordering, "the per-axis reduced operators")
     g_of = lambda e: _level_defect(model, m, n, grid, e)
     lo, hi = float(window.lo), float(window.hi)
     g_lo = g_of(lo)

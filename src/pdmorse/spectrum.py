@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import oracle
-from .effective import channels_at, epsilon_of, gammas_at, require_reduction_ordering, ueff_at
+from .effective import channels_at, epsilon_of, gammas_at, ueff_at
 from .errors import DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
 from .morse1d import energy_1d, level_epsilon, wavefunction_1d
@@ -177,9 +177,8 @@ def find_roots(
     defined on one interval of E, so a bracket with two finite ends holds no
     NaN; its tangential roots and two roots in one scan cell are missed.
     Raises OrderingNotSolvable unless the model's ordering is the reducing
-    one, for which alone F exists.
+    one, for which alone F exists, after the argument checks.
     """
-    require_reduction_ordering(model.ordering, "the self-consistency condition")
     if scan_points < 100:
         raise ValueError(f"need scan_points >= 100, got {scan_points}")
     if m < 0 or n < 0:

@@ -168,6 +168,32 @@ class TestConfig:
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: field '")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"hbar": Infinity}', "field 'hbar' must be finite, got inf"),
+            ('{"ordering": {"alpha": NaN, "beta": 0.0, "gamma": -0.5}}', "field 'alpha' must be finite, got nan"),
+            ('{"window": {"lo": -Infinity, "hi": 1.0}}', "field 'lo' must be finite, got -inf"),
+            (
+                '{"grid": {"x0": -Infinity, "x1": 6.0, "nx": 41, "y0": -2.0, "y1": 6.0, "ny": 41}}',
+                "field 'x0' must be finite, got -inf",
+            ),
+            (
+                '{"tolerances": {"root": Infinity, "degeneracy": 1e-6, "quadrature": 1e-8}}',
+                "field 'root' must be finite, got inf",
+            ),
+        ],
+        ids=["model", "ordering", "window", "grid", "tolerance"],
+    )
+    def test_non_finite_number_exits_config_error(self, tmp_path, capsys, text, message):
+        # json.load reads NaN and +-Infinity, which RFC 8259 JSON does not have.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        for argv in (["spectrum"], ["verify"]):
+            assert run_main("--config", str(path), "--out", str(tmp_path), *argv) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_missing_config_file_exits_config_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
@@ -289,6 +315,12 @@ class TestFieldsCommand:
         assert captured.err == "error: chi/psi fields need --m and --n\n"
         assert not (tmp_path / "field.csv").exists()
 
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_exits_config_error(self, tmp_path, capsys, energy):
+        assert run_main("--out", str(tmp_path), "fields", "--which", "ueff", f"--energy={energy}") == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: --energy must be finite, got {float(energy)!r}\n")
+        assert not (tmp_path / "field.csv").exists()
+
     def test_ueff_field(self, tmp_path):
         assert run_main("--out", str(tmp_path), "fields", "--which", "ueff", "--energy", "0.0") == EXIT_OK
         rows = read_csv(tmp_path / "field.csv")
@@ -315,11 +347,12 @@ class TestVerifyCommand:
         assert [name for name, _, _ in VERIFY_CHECKS] == names
         assert run_main("--out", str(tmp_path), "verify") == EXIT_OK
         assert verify_statuses(capsys.readouterr().out) == [("PASS", name) for name in names]
-        # Under an ordering that does not reduce, the four study checks fail.
+        # Under an ordering that does not reduce, every check but the first
+        # reads the reduced problem, so every check but the first fails.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"ordering": {"alpha": -0.4, "beta": -0.2, "gamma": -0.4}}))
         assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_NUMERIC
-        statuses = ["PASS", "FAIL", "PASS", "PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL"]
+        statuses = ["PASS"] + ["FAIL"] * 8
         assert verify_statuses(capsys.readouterr().out) == list(zip(statuses, names))
 
     @pytest.mark.parametrize("b1, mu, rel", [(-0.76, "2.000e-02", "7.149e-03"), (-0.7501, "2.000e-04", "2.130e+03")])
@@ -474,12 +507,11 @@ class TestVerifyCommand:
         code = run_main("--config", str(path), "--out", str(tmp_path), "verify")
         assert code == EXIT_NUMERIC
         out = capsys.readouterr().out
-        assert "FAIL reduction-identity" in out
         assert "first failing check: reduction-identity" in out
-        assert [line for line in out.splitlines() if line.startswith("FAIL")][1:] == [
-            f"FAIL {name}: the self-consistency condition requires the ordering with vanishing mass-gradient "
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL {name}: the reduced problem requires the ordering with vanishing mass-gradient "
             "coefficients (alpha=gamma=-1/2, beta=0); got OrderingParams(alpha=0.0, beta=-1.0, gamma=0.0)"
-            for name in ("back-substitution", "pde-residual", "window-containment", "degeneracy")
+            for name, _, _ in VERIFY_CHECKS[1:]
         ]
 
     @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
@@ -555,7 +587,9 @@ class TestFailureTable:
     def test_every_error_type_is_covered(self):
         assert len(pdmorse_errors()) == 12
 
-    @pytest.mark.parametrize("exc", pdmorse_errors(), ids=lambda exc: type(exc).__name__)
+    @pytest.mark.parametrize(
+        "exc", [*pdmorse_errors(), ZeroDivisionError("float division by zero")], ids=lambda exc: type(exc).__name__
+    )
     def test_main_and_verify_exit_alike(self, tmp_path, capsys, monkeypatch, exc):
         import pdmorse.cli
 

@@ -1,21 +1,40 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pdmorse import (
+    EnergyWindow,
+    Grid1D,
+    Grid2D,
     MassParams,
     Model,
     OrderingNotSolvable,
     OrderingParams,
     PotentialParams,
+    Variant,
+    channels_at,
+    chi_mn,
+    compare_table,
+    energy_window,
+    enumerate_spectrum,
     epsilon_of,
+    find_roots,
     gammas_at,
+    mass_at,
     mass_derivatives,
+    mismatch,
+    oracle_energy_2d,
+    pde_residual,
     potential_at,
+    psi_mn,
     ueff_at,
     veff_at,
     xi_of,
 )
 from pdmorse.effective import grad_coefficient, laplacian_coefficient
+from pdmorse.spectrum import SpectrumEntry, ValidityFlags, validity_at
 
 
 def with_ordering(model: Model, alpha: float, beta: float, gamma: float) -> Model:
@@ -118,11 +137,6 @@ class TestUeff:
     def test_vanishes_at_infinity(self, reference_model):
         assert ueff_at(reference_model, 0.0, 30.0, 30.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_nonreduction_ordering(self, reference_model):
-        model = with_ordering(reference_model, 0.0, -1.0, 0.0)
-        with pytest.raises(OrderingNotSolvable):
-            ueff_at(model, 0.0, 0.0, 0.0)
-
     @pytest.mark.parametrize("e_trial", [-0.4, 0.0, 0.25, 0.5, 1.0])
     def test_reduction_identity_on_grid(self, reference_model, e_trial):
         # The general constant-mass expression assembled term by term from
@@ -151,3 +165,50 @@ class TestUeff:
         M, mx, my, mxx, myy = mass_derivatives(model.mass, X, Y)
         general = M * (potential_at(model, X, Y) - 0.3) + xi_of(model, 0.3)
         assert np.max(np.abs(general - ueff_at(model, 0.3, X, Y))) < 1e-10
+
+
+#: Mass-gradient terms survive this ordering: no reduced problem exists.
+NON_REDUCING = OrderingParams(-0.4, -0.2, -0.4)
+GATE_MESSAGE = (
+    "the reduced problem requires the ordering with vanishing mass-gradient coefficients "
+    "(alpha=gamma=-1/2, beta=0); got OrderingParams(alpha=-0.4, beta=-0.2, gamma=-0.4)"
+)
+WINDOW = EnergyWindow(-0.4, 1.0)
+GRID = Grid2D(Grid1D(-2.0, 8.0, 31), Grid1D(-2.0, 8.0, 31))
+#: The reference model's first-principles ground level.
+GROUND = SpectrumEntry(0, 0, (math.sqrt(29.0) - 7.0) / 8.0, 0.0, ValidityFlags(True, True), Variant.FIRST_PRINCIPLES)
+#: Every entry point that reads the reduced problem.
+REDUCED = {
+    "gammas_at": lambda model: gammas_at(model, 0.0),
+    "channels_at": lambda model: channels_at(model, 0.0),
+    "ueff_at": lambda model: ueff_at(model, 0.0, 0.0, 0.0),
+    "mismatch-first-principles": lambda model: mismatch(model, Variant.FIRST_PRINCIPLES, 0, 0, 0.0),
+    "mismatch-paper-printed": lambda model: mismatch(model, Variant.PAPER_PRINTED, 0, 0, 0.0),
+    "validity_at": lambda model: validity_at(model, 0, 0, 0.0),
+    "find_roots-first-principles": lambda model: find_roots(model, Variant.FIRST_PRINCIPLES, 0, 0, WINDOW),
+    "find_roots-paper-printed": lambda model: find_roots(model, Variant.PAPER_PRINTED, 0, 0, WINDOW),
+    "enumerate_spectrum": lambda model: enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, WINDOW, 2),
+    "compare_table": lambda model: compare_table(model, WINDOW),
+    "chi_mn": lambda model: chi_mn(model, GROUND, 0.0, 0.0),
+    "psi_mn": lambda model: psi_mn(model, GROUND, 0.0, 0.0),
+    "pde_residual": lambda model: pde_residual(model, GROUND, GRID),
+    "oracle_energy_2d": lambda model: oracle_energy_2d(model, 0, 0, WINDOW, GRID),
+}
+
+
+class TestReductionGate:
+    """gammas_at is the one door to the reduced problem: every entry point
+    refuses a non-reducing ordering there, with one message."""
+
+    @pytest.mark.parametrize("call", REDUCED.values(), ids=REDUCED.keys())
+    def test_refuses_other_orderings(self, reference_model, call):
+        with pytest.raises(OrderingNotSolvable) as info:
+            call(replace(reference_model, ordering=NON_REDUCING))
+        assert str(info.value) == GATE_MESSAGE
+
+    def test_unreduced_fields_still_run(self, reference_model):
+        model = replace(reference_model, ordering=NON_REDUCING)
+        assert np.isfinite(veff_at(model, 0.5, 0.5))
+        assert potential_at(model, 0.0, 0.0) == potential_at(reference_model, 0.0, 0.0)
+        assert mass_at(model.mass, 0.0, 0.0) == mass_at(reference_model.mass, 0.0, 0.0)
+        assert energy_window(model) == energy_window(reference_model)

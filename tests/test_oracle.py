@@ -14,7 +14,6 @@ from pdmorse import (
     InvalidLevel,
     MorseChannel,
     NoBracket,
-    OrderingNotSolvable,
     Unbounded,
     channels_at,
     energy_1d,
@@ -413,11 +412,6 @@ class TestOracleEnergy2D:
         assert gaps[1] < gaps[0] / 4.0 and 0.0 < gaps[2] < gaps[1] / 10.0
         # 6.4e-4 below the closed form on every box: the h^2 error.
         assert first == pytest.approx([0.2921667] * 3, abs=2e-7)
-
-    def test_nonreducing_ordering_raises(self, reference_model):
-        model = replace(reference_model, ordering=OrderingParams(-0.4, -0.2, -0.4))
-        with pytest.raises(OrderingNotSolvable, match="per-axis reduced operators"):
-            oracle_energy_2d(model, 0, 0, EnergyWindow(-0.4, 1.0), self.SEARCH_GRID)
 
     def test_readme_grid_errors(self, reference_model):
         # README: on 192^2 over [-4, 12] the oracle misses the six distinct

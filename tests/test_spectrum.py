@@ -13,7 +13,6 @@ from pdmorse import (
     Grid2D,
     MassParams,
     Model,
-    OrderingNotSolvable,
     OrderingParams,
     PotentialParams,
     REFERENCE_LEVELS,
@@ -189,13 +188,6 @@ class TestFindRoots:
         assert e.energy == pytest.approx((math.sqrt(29.0) - 7.0) / 8.0, abs=1e-11)
         assert e.residual < 1e-10
         assert e.valid.all_ok
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_nonreducing_ordering_raises(self, reference_model, window, variant):
-        # Mass-gradient terms survive this ordering, so no F(E) exists to solve.
-        model = replace(reference_model, ordering=OrderingParams(-0.4, -0.2, -0.4))
-        with pytest.raises(OrderingNotSolvable, match="self-consistency condition"):
-            find_roots(model, variant, 0, 0, window)
 
     def test_every_quadratic_root_found(self, reference_model, window):
         # All in-window, in-support quadratic roots appear, none extra.
