@@ -116,7 +116,11 @@ def _leaf(key: str, value, default):
     kind = float if isinstance(default, float) else int
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ConfigError(f"field '{key}' must be {'a number' if kind is float else 'an integer'}, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(f"field '{key}' must be finite, got an integer too large for a double") from None
+    if not finite:
         raise ConfigError(f"field '{key}' must be finite, got {value!r}")
     return kind(value)
 
@@ -196,6 +200,8 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"config {path!r} cannot be read: {exc}") from exc
     return config_from_dict(data)
 
 

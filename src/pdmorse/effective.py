@@ -88,7 +88,11 @@ def gammas_at(model: Model, e_trial: float) -> GammaSet:
 
 def channels_at(model: Model, e: float) -> tuple[MorseChannel, MorseChannel]:
     """Per-axis channels built from the reduced weights at trial energy e."""
-    g = gammas_at(model, e)
+    return split_channels(model, gammas_at(model, e))
+
+
+def split_channels(model: Model, g: GammaSet) -> tuple[MorseChannel, MorseChannel]:
+    """The x channel from gamma1, gamma2 and a1, the y channel from gamma3, gamma4 and a2."""
     chx = channel_from_gammas(g.gamma1, g.gamma2, model.mass.a1, model.hbar)
     chy = channel_from_gammas(g.gamma3, g.gamma4, model.mass.a2, model.hbar)
     return chx, chy

@@ -18,12 +18,13 @@ instead of silently repairing either one.
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from . import oracle
-from .effective import channels_at, epsilon_of, gammas_at, ueff_at
+from .effective import channels_at, epsilon_of, gammas_at, split_channels, ueff_at
 from .errors import DegenerateWindow, InvalidLevel
 from .model import Model, mass_at
 from .morse1d import energy_1d, level_epsilon, wavefunction_1d
@@ -109,23 +110,124 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    if variant is Variant.FIRST_PRINCIPLES:
-        f, below = _onset_defect(model, m, n, e)
-        f = np.where(below, np.nan, f)
-    else:
-        # Verbatim transcription of the published condition: prefactor 8,
-        # |gamma3| in both brackets, n paired with the x-axis quantities and
-        # m with the y-axis ones, all evaluated at the shift m0 (r - E).
-        g = gammas_at(model, e)
-        ab1 = model.hbar * model.mass.a1
-        ab2 = model.hbar * model.mass.a2
-        with np.errstate(all="ignore"):
-            lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
-            t1 = np.abs(g.gamma3) - ab1 * np.sqrt(g.gamma2 / 2.0) * (2 * n + 1)
-            t2 = np.abs(g.gamma3) - ab2 * np.sqrt(g.gamma4 / 2.0) * (2 * m + 1)
-            f = lhs - g.gamma4 * t1 * t1 - g.gamma2 * t2 * t2
-        f = np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), f, np.nan)
+    f = _terms(model, variant, e).mismatch(m, n)
     return f if np.ndim(f) else float(f)
+
+
+class _Terms:
+    """F's terms at trial energies e that every (m, n) shares, from one gammas_at call.
+
+    A variant makes one row per m and one per n, and combines a pair's two
+    rows with the shared terms in the arithmetic order of the whole formula,
+    so a pair's F is bitwise what evaluating it alone gives.
+    """
+
+    def __init__(self, model: Model, e):
+        self.model = model
+        self.g = gammas_at(model, e)
+        self._m_row_at = (None, None)
+        self._n_rows: dict = {}
+
+    def channels(self):
+        return split_channels(self.model, self.g)
+
+    def flags(self, m: int, n: int) -> ValidityFlags:
+        chx, chy = self.channels()
+        return ValidityFlags(
+            level_x_allowed=not np.isnan(level_epsilon(chx, m)),
+            level_y_allowed=not np.isnan(level_epsilon(chy, n)),
+        )
+
+    def rows(self, m: int, n: int):
+        """Row m and row n, from the variant's _m_row and _n_row.
+
+        Every n row is kept, but only the last m row: callers visit the pairs
+        m by m, so the rows held stay a few times one pair's.
+        """
+        if self._m_row_at[0] != m:
+            self._m_row_at = (m, self._m_row(m))
+        if n not in self._n_rows:
+            self._n_rows[n] = self._n_row(n)
+        return self._m_row_at[1], self._n_rows[n]
+
+
+def _onset_row(ch, q: int):
+    """eps_q of ch with a level not yet bound entering as 0, and where it does."""
+    eq = level_epsilon(ch, q)
+    below = np.isnan(eq) & (ch.nu > 0.0)
+    return np.where(below, 0.0, eq), below
+
+
+class _OnsetTerms(_Terms):
+    """First-principles F = eps_m (x channel) + eps_n (y channel) - eps(E)."""
+
+    def __init__(self, model: Model, e):
+        super().__init__(model, e)
+        self.chx, self.chy = split_channels(model, self.g)
+        self.eps = epsilon_of(model, e)
+
+    def channels(self):
+        return self.chx, self.chy
+
+    def _m_row(self, m: int):
+        return _onset_row(self.chx, m)
+
+    def _n_row(self, n: int):
+        return _onset_row(self.chy, n)
+
+    def defect(self, m: int, n: int):
+        (fx, below_x), (fy, below_y) = self.rows(m, n)
+        return fx + fy - self.eps, below_x | below_y
+
+    def mismatch(self, m: int, n: int):
+        f, below = self.defect(m, n)
+        return np.where(below, np.nan, f)
+
+    def brackets(self, m: int, n: int):
+        """F over a scan grid, and the cells whose lower value is > 0 and whose
+        upper value is < 0 or NaN, with the upper end past both onsets."""
+        vals, below = self.defect(m, n)
+        return vals, (vals[:-1] > 0.0) & ~(vals[1:] >= 0.0) & ~below[1:]
+
+
+class _PrintedTerms(_Terms):
+    """The published condition verbatim: prefactor 8, |gamma3| in both brackets,
+    n paired with the x-axis quantities and m with the y-axis ones, all
+    evaluated at the shift m0 (r - E)."""
+
+    def __init__(self, model: Model, e):
+        super().__init__(model, e)
+        g = self.g
+        with np.errstate(all="ignore"):
+            self.lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
+            self.abs3 = np.abs(g.gamma3)
+            self.slope_x = model.hbar * model.mass.a1 * np.sqrt(g.gamma2 / 2.0)
+            self.slope_y = model.hbar * model.mass.a2 * np.sqrt(g.gamma4 / 2.0)
+        self.defined = (g.gamma2 > 0.0) & (g.gamma4 > 0.0)
+
+    # The rows are made only inside mismatch's np.errstate.
+    def _m_row(self, m: int):
+        t = self.abs3 - self.slope_y * (2 * m + 1)
+        return self.g.gamma2 * t * t
+
+    def _n_row(self, n: int):
+        t = self.abs3 - self.slope_x * (2 * n + 1)
+        return self.g.gamma4 * t * t
+
+    def mismatch(self, m: int, n: int):
+        with np.errstate(all="ignore"):
+            row_m, row_n = self.rows(m, n)
+            f = self.lhs - row_n - row_m
+        return np.where(self.defined, f, np.nan)
+
+    def brackets(self, m: int, n: int):
+        """F over a scan grid, and the cells across which it changes sign."""
+        vals = self.mismatch(m, n)
+        return vals, vals[:-1] * vals[1:] < 0.0
+
+
+def _terms(model: Model, variant: Variant, e) -> _Terms:
+    return (_OnsetTerms if variant is Variant.FIRST_PRINCIPLES else _PrintedTerms)(model, e)
 
 
 def _onset_defect(model: Model, m: int, n: int, e):
@@ -135,21 +237,66 @@ def _onset_defect(model: Model, m: int, n: int, e):
     gamma4 <= 0, where F -> -inf.  Also returns where a level is still below
     its onset, where F is no defect of a physical level.
     """
-    chx, chy = channels_at(model, e)
-    ex, ey = level_epsilon(chx, m), level_epsilon(chy, n)
-    below_x = np.isnan(ex) & (chx.nu > 0.0)
-    below_y = np.isnan(ey) & (chy.nu > 0.0)
-    f = np.where(below_x, 0.0, ex) + np.where(below_y, 0.0, ey) - epsilon_of(model, e)
-    return f, below_x | below_y
+    return _OnsetTerms(model, e).defect(m, n)
 
 
 def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
     """Recompute the bound-state validity flags at energy e."""
-    chx, chy = channels_at(model, e)
-    return ValidityFlags(
-        level_x_allowed=not np.isnan(level_epsilon(chx, m)),
-        level_y_allowed=not np.isnan(level_epsilon(chy, n)),
-    )
+    return _Terms(model, e).flags(m, n)
+
+
+class _Scan:
+    """One variant's F over the scan grid of a window, shared by every (m, n).
+
+    The grid's terms are evaluated on the first pair asked for, after that
+    pair's quantum numbers are checked.
+    """
+
+    def __init__(self, model: Model, variant: Variant, window: EnergyWindow, scan_points: int):
+        if scan_points < 100:
+            raise ValueError(f"need scan_points >= 100, got {scan_points}")
+        self.model = model
+        self.variant = variant
+        self.es = np.linspace(window.lo, window.hi, scan_points)
+
+    @cached_property
+    def terms(self) -> _Terms:
+        return _terms(self.model, self.variant, self.es)
+
+    def roots(self, m: int, n: int, tol: float) -> list[SpectrumEntry]:
+        """find_roots for one pair, from the shared grid terms."""
+        if m < 0 or n < 0:
+            raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
+        model, variant, es = self.model, self.variant, self.es
+        vals, cells = self.terms.brackets(m, n)
+        if variant is Variant.FIRST_PRINCIPLES:
+            f = lambda e: float(_onset_defect(model, m, n, e)[0])
+        else:
+            f = lambda e: mismatch(model, variant, m, n, e)
+        roots = [float(e) for e in es[vals == 0.0]]
+        for i in np.flatnonzero(cells):
+            a, b = float(es[i]), float(es[i + 1])
+            lo, hi, flo, fhi = oracle.itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
+            if lo == hi or math.isnan(fhi):
+                roots.append(0.5 * (lo + hi))
+            else:
+                roots.append(lo + (hi - lo) * flo / (flo - fhi))
+
+        merged: list[float] = []
+        for r in sorted(roots):
+            if not merged or r - merged[-1] > 10.0 * tol:
+                merged.append(r)
+        entries = (_entry_at(model, variant, m, n, r) for r in merged)
+        return [entry for entry in entries if entry is not None]
+
+
+def _entry_at(model: Model, variant: Variant, m: int, n: int, r: float) -> SpectrumEntry | None:
+    """Root r's entry, residual |F| and flags from one channel evaluation; None where F is NaN."""
+    terms = _terms(model, variant, r)
+    fr = float(terms.mismatch(m, n))
+    if math.isnan(fr):
+        return None
+    return SpectrumEntry(m=m, n=n, energy=r, residual=abs(fr), valid=terms.flags(m, n), variant=variant)
 
 
 def find_roots(
@@ -163,7 +310,9 @@ def find_roots(
 ) -> list[SpectrumEntry]:
     """All bracketable roots of the mismatch inside the window, sorted by E.
 
-    Uniform sign scan of the whole grid at once, an ITP search (see
+    The one-pair case of the scan that :func:`enumerate_spectrum` and
+    :func:`compare_table` build once per spectrum and share across pairs:
+    a uniform sign scan of the whole grid at once, an ITP search (see
     oracle.itp) of every bracket to width tol, then one regula-falsi step
     inside the final bracket from its two known end values.  That step costs
     no evaluation of F and takes |F| from ~tol |F'| down to rounding, which
@@ -179,44 +328,7 @@ def find_roots(
     Raises OrderingNotSolvable unless the model's ordering is the reducing
     one, for which alone F exists, after the argument checks.
     """
-    if scan_points < 100:
-        raise ValueError(f"need scan_points >= 100, got {scan_points}")
-    if m < 0 or n < 0:
-        raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    es = np.linspace(window.lo, window.hi, scan_points)
-    if variant is Variant.FIRST_PRINCIPLES:
-        f = lambda e: float(_onset_defect(model, m, n, e)[0])
-        vals, below = _onset_defect(model, m, n, es)
-        # Lower value > 0, upper value < 0 or NaN, upper end past both onsets.
-        cells = (vals[:-1] > 0.0) & ~(vals[1:] >= 0.0) & ~below[1:]
-    else:
-        f = lambda e: mismatch(model, variant, m, n, e)
-        vals = f(es)
-        cells = vals[:-1] * vals[1:] < 0.0
-    roots = [float(e) for e in es[vals == 0.0]]
-    for i in np.flatnonzero(cells):
-        a, b = float(es[i]), float(es[i + 1])
-        lo, hi, flo, fhi = oracle.itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
-        if lo == hi or math.isnan(fhi):
-            roots.append(0.5 * (lo + hi))
-        else:
-            roots.append(lo + (hi - lo) * flo / (flo - fhi))
-
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 10.0 * tol:
-            merged.append(r)
-
-    out = []
-    for r in merged:
-        fr = mismatch(model, variant, m, n, r)
-        if not math.isnan(fr):
-            out.append(
-                SpectrumEntry(
-                    m=m, n=n, energy=r, residual=abs(fr), valid=validity_at(model, m, n, r), variant=variant
-                )
-            )
-    return out
+    return _Scan(model, variant, window, scan_points).roots(m, n, tol)
 
 
 def is_xy_symmetric(model: Model) -> bool:
@@ -251,18 +363,21 @@ def enumerate_spectrum(
 ) -> list[SpectrumEntry]:
     """Roots for every (m, n) with 0 <= m, n <= max_q, sorted by (E, m, n).
 
-    For x<->y symmetric parameters only m <= n is scanned and the (n, m)
-    partner is mirrored from the identical root object, so degenerate pairs
-    carry bitwise-equal energies.
+    The scan grid's terms are evaluated once and shared by every pair, which
+    finds exactly the roots :func:`find_roots` finds for it alone.  For x<->y
+    symmetric parameters only m <= n is scanned and the (n, m) partner is
+    mirrored from the identical root object, so degenerate pairs carry
+    bitwise-equal energies.
     """
     if max_q < 0:
         raise ValueError(f"need max_q >= 0, got {max_q}")
+    scan = _Scan(model, variant, window, scan_points)
     symmetric = is_xy_symmetric(model)
     entries: list[SpectrumEntry] = []
     for m in range(max_q + 1):
         n_start = m if symmetric else 0
         for n in range(n_start, max_q + 1):
-            found = find_roots(model, variant, m, n, window, scan_points, tol)
+            found = scan.roots(m, n, tol)
             entries.extend(found)
             if symmetric and n > m:
                 entries.extend(_mirror(e) for e in found)
@@ -393,14 +508,22 @@ def compare_table(
 
     Purely diagnostic: reports per-entry distances and per-variant match
     counts, and inventories quantum numbers that produced several roots.  It
-    never asserts how many entries must match.
+    never asserts how many entries must match.  Each variant's scan grid
+    terms are evaluated once and shared by every reference pair, whose roots
+    are exactly those :func:`find_roots` finds for it alone; the first
+    variant's scan is done before the second one's is built.
     """
+    found = {}
+    for variant in Variant:
+        scan = _Scan(model, variant, window, scan_points)
+        for m, n, _ in REFERENCE_LEVELS:
+            found[variant, m, n] = [e.energy for e in scan.roots(m, n, tol)]
     rows = []
     multi = []
     for m, n, e_ref in REFERENCE_LEVELS:
         nearest = {}
-        for variant in (Variant.FIRST_PRINCIPLES, Variant.PAPER_PRINTED):
-            energies = [e.energy for e in find_roots(model, variant, m, n, window, scan_points, tol)]
+        for variant in Variant:
+            energies = found[variant, m, n]
             if len(energies) > 1:
                 multi.append((variant.value, m, n, tuple(energies)))
             if energies:

@@ -71,18 +71,25 @@ def draw_supported_channels(seed: int, count: int, mu_margin: float = 0.4, top_c
 
 
 @st.composite
-def supported_models(draw):
-    """A model around the reference set whose potential binds, with its window."""
+def supported_models(draw, symmetric: bool = False):
+    """A model around the reference set whose potential binds, with its window.
+
+    With ``symmetric`` the y-axis parameters copy the x-axis ones, so the
+    model is x<->y symmetric; otherwise every parameter is drawn.
+    """
     u = lambda lo, hi: draw(st.floats(lo, hi))
+    y = lambda x, lo, hi: x if symmetric else u(lo, hi)
+    hbar, m0 = u(0.7, 1.3), u(0.5, 2.0)
+    g1, g2 = u(0.0, 1.5), u(0.0, 0.2)
+    g3, g4 = y(g1, 0.0, 1.5), y(g2, 0.0, 0.2)
+    a1 = u(0.5, 1.5)
+    a2 = y(a1, 0.5, 1.5)
+    r, a, b1, b2 = u(-0.5, 0.5), u(0.5, 1.5), u(-1.5, -0.5), u(0.05, 0.3)
+    b3, b4 = y(b1, -1.5, -0.5), y(b2, 0.05, 0.3)
     model = Model(
-        hbar=u(0.7, 1.3),
-        mass=MassParams(
-            m0=u(0.5, 2.0), g1=u(0.0, 1.5), g2=u(0.0, 0.2), g3=u(0.0, 1.5), g4=u(0.0, 0.2),
-            a1=u(0.5, 1.5), a2=u(0.5, 1.5),
-        ),
-        pot=PotentialParams(
-            r=u(-0.5, 0.5), a=u(0.5, 1.5), b1=u(-1.5, -0.5), b2=u(0.05, 0.3), b3=u(-1.5, -0.5), b4=u(0.05, 0.3),
-        ),
+        hbar=hbar,
+        mass=MassParams(m0=m0, g1=g1, g2=g2, g3=g3, g4=g4, a1=a1, a2=a2),
+        pot=PotentialParams(r=r, a=a, b1=b1, b2=b2, b3=b3, b4=b4),
         ordering=solve_ambiguity_free_ordering(),
     )
     try:

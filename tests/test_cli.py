@@ -194,6 +194,31 @@ class TestConfig:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"hbar": 1' + "0" * 400 + "}", "hbar"),
+            ('{"grid": {"x0": -2.0, "x1": 6.0, "nx": 1' + "0" * 400 + ', "y0": -2.0, "y1": 6.0, "ny": 41}}', "nx"),
+        ],
+        ids=["float-field", "int-field"],
+    )
+    def test_integer_beyond_a_double_exits_config_error(self, tmp_path, capsys, text, field):
+        # math.isfinite raises OverflowError on an integer this large.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
+        message = f"field '{field}' must be finite, got an integer too large for a double"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_integer_past_the_digit_limit_exits_config_error(self, tmp_path, capsys):
+        # Past 4300 digits json.load itself raises ValueError on interpreters
+        # that limit int-string conversion; either way it is a config error.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hbar": 1' + "0" * 5000 + "}")
+        assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_missing_config_file_exits_config_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -34,11 +34,14 @@ from pdmorse import (
     psi_mn,
     solve_ambiguity_free_ordering,
 )
-from pdmorse import oracle
+from pdmorse import effective, oracle, spectrum
 from pdmorse.cli import _find_inversions
 from pdmorse.spectrum import (
     SpectrumEntry,
+    TableComparison,
+    TableRow,
     ValidityFlags,
+    _mirror,
     _onset_defect,
     is_xy_symmetric,
     validity_at,
@@ -609,3 +612,81 @@ class TestCompareTable:
         # says so.  (Empirically both counts are zero at 1e-5.)
         assert 0 <= report.matches_fp <= 21
         assert 0 <= report.matches_pp <= 21
+
+
+def _nan_free(row: TableRow) -> tuple:
+    """A table row's fields with NaN as a string, so rows compare with ==."""
+    return tuple("nan" if isinstance(x, float) and math.isnan(x) else x for x in astuple(row))
+
+
+class TestSharedScan:
+    """One scan per spectrum finds, bit for bit, what one scan per pair finds."""
+
+    @pytest.mark.parametrize("draw_symmetric", [False, True], ids=["asymmetric", "symmetric"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_enumerate_equals_per_pair_find_roots(self, draw_symmetric, data):
+        model, window = data.draw(supported_models(symmetric=draw_symmetric))
+        max_q = data.draw(st.integers(0, 4))
+        # A drawn asymmetric model may still come out symmetric.
+        symmetric = is_xy_symmetric(model)
+        for variant in Variant:
+            want = []
+            for m in range(max_q + 1):
+                for n in range(m if symmetric else 0, max_q + 1):
+                    found = find_roots(model, variant, m, n, window)
+                    want.extend(found)
+                    if n > m and symmetric:
+                        want.extend(_mirror(e) for e in found)
+            want.sort(key=lambda e: (e.energy, e.m, e.n))
+            assert enumerate_spectrum(model, variant, window, max_q) == want
+
+    @pytest.mark.parametrize("which", ["reference_model", "asymmetric_model"])
+    def test_compare_table_equals_per_pair_find_roots(self, which, request):
+        model = request.getfixturevalue(which)
+        window = energy_window(model)
+        rows, multi = [], []
+        for m, n, e_ref in REFERENCE_LEVELS:
+            nearest = []
+            for variant in Variant:
+                energies = [e.energy for e in find_roots(model, variant, m, n, window)]
+                if len(energies) > 1:
+                    multi.append((variant.value, m, n, tuple(energies)))
+                best = min(energies, key=lambda e: abs(e - e_ref), default=math.nan)
+                nearest.append((best, abs(best - e_ref) if energies else math.inf))
+            (e_fp, de_fp), (e_pp, de_pp) = nearest
+            tol = TableComparison.match_tol
+            rows.append(TableRow(m, n, e_ref, e_fp, de_fp, de_fp < tol, e_pp, de_pp, de_pp < tol))
+        report = compare_table(model, window=window)
+        assert [_nan_free(r) for r in report.rows] == [_nan_free(r) for r in rows]
+        assert report.multi_roots == tuple(multi)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_one_grid_evaluation_per_spectrum(self, reference_model, window, variant, monkeypatch):
+        # Counts the reduced weights and the channels built over the whole
+        # scan grid; a scan per pair would build them once for each of the
+        # 28 scanned pairs.
+        grid_gammas, grid_channels = [], []
+        real_gammas, real_channel = effective.gammas_at, effective.channel_from_gammas
+
+        def gammas_spy(model, e):
+            if np.size(e) == 2000:
+                grid_gammas.append(e)
+            return real_gammas(model, e)
+
+        def channel_spy(gamma_lin, gamma_quad, decay, hbar):
+            if np.size(gamma_lin) == 2000:
+                grid_channels.append(decay)
+            return real_channel(gamma_lin, gamma_quad, decay, hbar)
+
+        monkeypatch.setattr(effective, "gammas_at", gammas_spy)
+        monkeypatch.setattr(spectrum, "gammas_at", gammas_spy)
+        monkeypatch.setattr(effective, "channel_from_gammas", channel_spy)
+        entries = enumerate_spectrum(reference_model, variant, window, 6)
+        assert entries
+        assert len(grid_gammas) == 1
+        assert len(grid_channels) == (2 if variant is Variant.FIRST_PRINCIPLES else 0)
+
+        grid_gammas.clear()
+        compare_table(reference_model, window=window)
+        assert len(grid_gammas) == 2  # one scan per variant
