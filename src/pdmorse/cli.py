@@ -138,6 +138,13 @@ def _object(name: str, value, shape: dict, leaf=_leaf) -> dict:
     return {k: leaf(k, value[k], d) for k, d in shape.items()}
 
 
+def _at_most(name: str, value: int, top: int) -> int:
+    """``value``, if no larger than ``top``: a config integer sizes a loop or an allocation."""
+    if value > top:
+        raise ConfigError(f"{name} must be at most {top}, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a config mapping against the shape of DEFAULT_CONFIG.
 
@@ -174,18 +181,22 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"max_q must be a non-negative integer, got {merged['max_q']!r}")
     if not isinstance(merged["scan_points"], int) or merged["scan_points"] < 100:
         raise ConfigError(f"scan_points must be an integer >= 100, got {merged['scan_points']!r}")
+    # The pair loop is quadratic in max_q; 20000 is the largest scan the tests run.
+    max_q = _at_most("max_q", merged["max_q"], 200)
+    scan_points = _at_most("scan_points", merged["scan_points"], 20000)
 
     try:
         w = merged["window"]
         window = None if w is None else EnergyWindow(**_object("window", w, {"lo": 0.0, "hi": 0.0}))
         g = _object("grid", merged["grid"], DEFAULT_CONFIG["grid"])
-        grid = oracle.Grid2D(oracle.Grid1D(g["x0"], g["x1"], g["nx"]), oracle.Grid1D(g["y0"], g["y1"], g["ny"]))
+        nx, ny = (_at_most(f"field '{k}'", g[k], 1000) for k in ("nx", "ny"))
+        grid = oracle.Grid2D(oracle.Grid1D(g["x0"], g["x1"], nx), oracle.Grid1D(g["y0"], g["y1"], ny))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     tols = _object("tolerances", merged["tolerances"], DEFAULT_CONFIG["tolerances"], leaf=_tolerance)
 
     return RunConfig(
-        model, variant, merged["max_q"], window, merged["scan_points"], grid,
+        model, variant, max_q, window, scan_points, grid,
         tol_root=tols["root"], tol_degeneracy=tols["degeneracy"], tol_quadrature=tols["quadrature"],
     )
 
@@ -532,15 +543,13 @@ def cmd_compare_table(cfg: RunConfig, out_dir: str = ".") -> int:
         status = "reproduced" if quarters and all(d < cmp.match_tol for d in dists) else "not reproduced"
         print(f"eight-fold cluster at 0.25 ({len(quarters)} ordered pairs + mirrors): {status} by {label}")
 
+    # REFERENCE_LEVELS is fixed, and it always holds inversions.
     inv = _find_inversions([(r.m, r.n, r.e_ref) for r in cmp.rows])
-    if inv:
-        a, b = inv[0]
-        print(
-            f"reference shows {len(inv)} energy inversions, e.g. (m,n)=({a[0]},{a[1]}) at "
-            f"{_fmt(a[2])} above ({b[0]},{b[1]}) at {_fmt(b[2])}"
-        )
-    else:
-        print("reference shows no energy inversions")
+    a, b = inv[0]
+    print(
+        f"reference shows {len(inv)} energy inversions, e.g. (m,n)=({a[0]},{a[1]}) at "
+        f"{_fmt(a[2])} above ({b[0]},{b[1]}) at {_fmt(b[2])}"
+    )
 
     if cmp.multi_roots:
         print("multi-root quantum numbers:")

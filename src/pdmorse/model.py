@@ -103,12 +103,12 @@ def _raise_overflow(what: str, arr, x, y):
 
 
 def _exponentials(mass: MassParams, x, y):
-    """The four basis exponentials e1..e4 at (x, y), overflow-checked."""
-    with np.errstate(over="ignore"):
-        e1 = np.exp(-mass.a1 * np.asarray(x, dtype=float))
-        e3 = np.exp(-mass.a2 * np.asarray(y, dtype=float))
-        e2 = e1 * e1
-        e4 = e3 * e3
+    """The four basis exponentials e1..e4 at (x, y), overflow-checked, called inside one
+    np.errstate with the caller's sums: an overflow raises one typed error and no warning."""
+    e1 = np.exp(-mass.a1 * np.asarray(x, dtype=float))
+    e3 = np.exp(-mass.a2 * np.asarray(y, dtype=float))
+    e2 = e1 * e1
+    e4 = e3 * e3
     if not np.all(np.isfinite(e2)):
         _raise_overflow("exp(-2*a1*x)", e2, x, y)
     if not np.all(np.isfinite(e4)):
@@ -118,7 +118,8 @@ def _exponentials(mass: MassParams, x, y):
 
 def exponential_sum(mass: MassParams, w1, w2, w3, w4, x, y):
     """w1 e1 + w2 e2 + w3 e3 + w4 e4 over the basis exponentials at (x, y), overflow-checked."""
-    e1, e2, e3, e4 = _exponentials(mass, x, y)
+    with np.errstate(over="ignore"):
+        e1, e2, e3, e4 = _exponentials(mass, x, y)
     return w1 * e1 + w2 * e2 + w3 * e3 + w4 * e4
 
 
@@ -129,8 +130,9 @@ def mass_at(mass: MassParams, x, y):
     :class:`~pdmorse.errors.EvaluationOverflow` if an exponential leaves the
     double range (far negative coordinates).
     """
-    e1, e2, e3, e4 = _exponentials(mass, x, y)
-    m = mass.m0 * (1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4)
+    with np.errstate(over="ignore"):
+        e1, e2, e3, e4 = _exponentials(mass, x, y)
+        m = mass.m0 * (1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4)
     if not np.all(np.isfinite(m)):
         _raise_overflow("mass", m, x, y)
     return m if np.ndim(m) else float(m)
@@ -138,13 +140,14 @@ def mass_at(mass: MassParams, x, y):
 
 def mass_derivatives(mass: MassParams, x, y):
     """Exact partials (M, Mx, My, Mxx, Myy) of the mass field at (x, y)."""
-    e1, e2, e3, e4 = _exponentials(mass, x, y)
     m0, a1, a2 = mass.m0, mass.a1, mass.a2
-    m = m0 * (1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4)
-    mx = m0 * (-a1 * mass.g1 * e1 - 2.0 * a1 * mass.g2 * e2)
-    my = m0 * (-a2 * mass.g3 * e3 - 2.0 * a2 * mass.g4 * e4)
-    mxx = m0 * (a1 * a1 * mass.g1 * e1 + 4.0 * a1 * a1 * mass.g2 * e2)
-    myy = m0 * (a2 * a2 * mass.g3 * e3 + 4.0 * a2 * a2 * mass.g4 * e4)
+    with np.errstate(over="ignore"):
+        e1, e2, e3, e4 = _exponentials(mass, x, y)
+        m = m0 * (1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4)
+        mx = m0 * (-a1 * mass.g1 * e1 - 2.0 * a1 * mass.g2 * e2)
+        my = m0 * (-a2 * mass.g3 * e3 - 2.0 * a2 * mass.g4 * e4)
+        mxx = m0 * (a1 * a1 * mass.g1 * e1 + 4.0 * a1 * a1 * mass.g2 * e2)
+        myy = m0 * (a2 * a2 * mass.g3 * e3 + 4.0 * a2 * a2 * mass.g4 * e4)
     out = (m, mx, my, mxx, myy)
     for v in out:
         if not np.all(np.isfinite(v)):
@@ -161,10 +164,11 @@ def potential_at(model: Model, x, y):
     value tends to r + a/m0 when both coordinates grow large.
     """
     mass, pot = model.mass, model.pot
-    e1, e2, e3, e4 = _exponentials(mass, x, y)
-    s = 1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4
-    num = pot.a + pot.b1 * e1 + pot.b3 * e3 + pot.b2 * e2 + pot.b4 * e4
-    v = pot.r + num / (mass.m0 * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1, e2, e3, e4 = _exponentials(mass, x, y)
+        s = 1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4
+        num = pot.a + pot.b1 * e1 + pot.b3 * e3 + pot.b2 * e2 + pot.b4 * e4
+        v = pot.r + num / (mass.m0 * s)
     if not np.all(np.isfinite(v)):
         _raise_overflow("potential", v, x, y)
     return v if np.ndim(v) else float(v)

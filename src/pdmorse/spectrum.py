@@ -104,13 +104,13 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
     """Signed self-consistency defect F(E) whose roots are physical levels.
 
     Elementwise over trial energies e, NaN where F is undefined, and a float
-    for scalar e.  First-principles F is _onset_defect's, undefined where
-    level m (x) or n (y) is not bound; the printed condition where
+    for scalar e.  First-principles F is _OnsetTerms.defect's, undefined
+    where level m (x) or n (y) is not bound; the printed condition where
     gamma2 <= 0 or gamma4 <= 0.
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    f = _terms(model, variant, e).mismatch(m, n)
+    f = _TERMS[variant](model, e).mismatch(m, n)
     return f if np.ndim(f) else float(f)
 
 
@@ -119,20 +119,23 @@ class _Terms:
 
     A variant makes one row per m and one per n, and combines a pair's two
     rows with the shared terms in the arithmetic order of the whole formula,
-    so a pair's F is bitwise what evaluating it alone gives.
+    so a pair's F is bitwise what evaluating it alone gives.  Over a scan
+    grid, :meth:`roots` finds each pair's roots from those rows.
     """
 
     def __init__(self, model: Model, e):
         self.model = model
+        self.e = e
         self.g = gammas_at(model, e)
         self._m_row_at = (None, None)
         self._n_rows: dict = {}
 
+    @cached_property
     def channels(self):
         return split_channels(self.model, self.g)
 
     def flags(self, m: int, n: int) -> ValidityFlags:
-        chx, chy = self.channels()
+        chx, chy = self.channels
         return ValidityFlags(
             level_x_allowed=not np.isnan(level_epsilon(chx, m)),
             level_y_allowed=not np.isnan(level_epsilon(chy, n)),
@@ -150,6 +153,34 @@ class _Terms:
             self._n_rows[n] = self._n_row(n)
         return self._m_row_at[1], self._n_rows[n]
 
+    def roots(self, m: int, n: int, tol: float) -> list[SpectrumEntry]:
+        """find_roots for one pair over this scan grid; each root's entry from its own terms."""
+        model, es = self.model, self.e
+        vals, cells = self.brackets(m, n)
+        f = lambda e: self._probe(m, n, e)
+        roots = [float(e) for e in es[vals == 0.0]]
+        for i in np.flatnonzero(cells):
+            a, b = float(es[i]), float(es[i + 1])
+            lo, hi, flo, fhi = oracle.itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
+            if lo == hi or math.isnan(fhi):
+                roots.append(0.5 * (lo + hi))
+            else:
+                roots.append(lo + (hi - lo) * flo / (flo - fhi))
+
+        merged: list[float] = []
+        for r in sorted(roots):
+            if not merged or r - merged[-1] > 10.0 * tol:
+                merged.append(r)
+        entries = []
+        for r in merged:
+            terms = type(self)(model, r)
+            fr = float(terms.mismatch(m, n))
+            if not math.isnan(fr):
+                entries.append(
+                    SpectrumEntry(m=m, n=n, energy=r, residual=abs(fr), valid=terms.flags(m, n), variant=self.variant)
+                )
+        return entries
+
 
 def _onset_row(ch, q: int):
     """eps_q of ch with a level not yet bound entering as 0, and where it does."""
@@ -161,21 +192,25 @@ def _onset_row(ch, q: int):
 class _OnsetTerms(_Terms):
     """First-principles F = eps_m (x channel) + eps_n (y channel) - eps(E)."""
 
+    variant = Variant.FIRST_PRINCIPLES
+
     def __init__(self, model: Model, e):
         super().__init__(model, e)
-        self.chx, self.chy = split_channels(model, self.g)
         self.eps = epsilon_of(model, e)
 
-    def channels(self):
-        return self.chx, self.chy
-
     def _m_row(self, m: int):
-        return _onset_row(self.chx, m)
+        return _onset_row(self.channels[0], m)
 
     def _n_row(self, n: int):
-        return _onset_row(self.chy, n)
+        return _onset_row(self.channels[1], n)
 
     def defect(self, m: int, n: int):
+        """F with each level not yet bound entering as 0, the eps it reaches at onset.
+
+        Continuous and strictly decreasing in E, and NaN only where gamma2 or
+        gamma4 <= 0, where F -> -inf.  Also returns where a level is still
+        below its onset, where F is no defect of a physical level.
+        """
         (fx, below_x), (fy, below_y) = self.rows(m, n)
         return fx + fy - self.eps, below_x | below_y
 
@@ -189,11 +224,16 @@ class _OnsetTerms(_Terms):
         vals, below = self.defect(m, n)
         return vals, (vals[:-1] > 0.0) & ~(vals[1:] >= 0.0) & ~below[1:]
 
+    def _probe(self, m: int, n: int, e: float) -> float:
+        return float(_OnsetTerms(self.model, e).defect(m, n)[0])
+
 
 class _PrintedTerms(_Terms):
     """The published condition verbatim: prefactor 8, |gamma3| in both brackets,
     n paired with the x-axis quantities and m with the y-axis ones, all
     evaluated at the shift m0 (r - E)."""
+
+    variant = Variant.PAPER_PRINTED
 
     def __init__(self, model: Model, e):
         super().__init__(model, e)
@@ -225,19 +265,11 @@ class _PrintedTerms(_Terms):
         vals = self.mismatch(m, n)
         return vals, vals[:-1] * vals[1:] < 0.0
 
+    def _probe(self, m: int, n: int, e: float) -> float:
+        return mismatch(self.model, self.variant, m, n, e)
 
-def _terms(model: Model, variant: Variant, e) -> _Terms:
-    return (_OnsetTerms if variant is Variant.FIRST_PRINCIPLES else _PrintedTerms)(model, e)
 
-
-def _onset_defect(model: Model, m: int, n: int, e):
-    """First-principles F with each level not yet bound entering as 0, the eps it reaches at onset.
-
-    Continuous and strictly decreasing in E, and NaN only where gamma2 or
-    gamma4 <= 0, where F -> -inf.  Also returns where a level is still below
-    its onset, where F is no defect of a physical level.
-    """
-    return _OnsetTerms(model, e).defect(m, n)
+_TERMS = {Variant.FIRST_PRINCIPLES: _OnsetTerms, Variant.PAPER_PRINTED: _PrintedTerms}
 
 
 def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
@@ -245,58 +277,10 @@ def validity_at(model: Model, m: int, n: int, e: float) -> ValidityFlags:
     return _Terms(model, e).flags(m, n)
 
 
-class _Scan:
-    """One variant's F over the scan grid of a window, shared by every (m, n).
-
-    The grid's terms are evaluated on the first pair asked for, after that
-    pair's quantum numbers are checked.
-    """
-
-    def __init__(self, model: Model, variant: Variant, window: EnergyWindow, scan_points: int):
-        if scan_points < 100:
-            raise ValueError(f"need scan_points >= 100, got {scan_points}")
-        self.model = model
-        self.variant = variant
-        self.es = np.linspace(window.lo, window.hi, scan_points)
-
-    @cached_property
-    def terms(self) -> _Terms:
-        return _terms(self.model, self.variant, self.es)
-
-    def roots(self, m: int, n: int, tol: float) -> list[SpectrumEntry]:
-        """find_roots for one pair, from the shared grid terms."""
-        if m < 0 or n < 0:
-            raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-        model, variant, es = self.model, self.variant, self.es
-        vals, cells = self.terms.brackets(m, n)
-        if variant is Variant.FIRST_PRINCIPLES:
-            f = lambda e: float(_onset_defect(model, m, n, e)[0])
-        else:
-            f = lambda e: mismatch(model, variant, m, n, e)
-        roots = [float(e) for e in es[vals == 0.0]]
-        for i in np.flatnonzero(cells):
-            a, b = float(es[i]), float(es[i + 1])
-            lo, hi, flo, fhi = oracle.itp(f, a, b, float(vals[i]), float(vals[i + 1]), tol)
-            if lo == hi or math.isnan(fhi):
-                roots.append(0.5 * (lo + hi))
-            else:
-                roots.append(lo + (hi - lo) * flo / (flo - fhi))
-
-        merged: list[float] = []
-        for r in sorted(roots):
-            if not merged or r - merged[-1] > 10.0 * tol:
-                merged.append(r)
-        entries = (_entry_at(model, variant, m, n, r) for r in merged)
-        return [entry for entry in entries if entry is not None]
-
-
-def _entry_at(model: Model, variant: Variant, m: int, n: int, r: float) -> SpectrumEntry | None:
-    """Root r's entry, residual |F| and flags from one channel evaluation; None where F is NaN."""
-    terms = _terms(model, variant, r)
-    fr = float(terms.mismatch(m, n))
-    if math.isnan(fr):
-        return None
-    return SpectrumEntry(m=m, n=n, energy=r, residual=abs(fr), valid=terms.flags(m, n), variant=variant)
+def _scan_grid(window: EnergyWindow, scan_points: int):
+    if scan_points < 100:
+        raise ValueError(f"need scan_points >= 100, got {scan_points}")
+    return np.linspace(window.lo, window.hi, scan_points)
 
 
 def find_roots(
@@ -318,17 +302,20 @@ def find_roots(
     no evaluation of F and takes |F| from ~tol |F'| down to rounding, which
     matters because :func:`pde_residual` divides by eps, and eps -> 0 as a
     level nears the asymptote.  The first-principles scan runs on
-    _onset_defect, which is continuous and strictly decreasing, so a cell
-    brackets the one root when its lower value is > 0 and its upper value
-    < 0 or NaN.  A cell whose upper end still has a level below onset is
-    skipped, and a root is kept only where :func:`mismatch` is finite.  The
-    printed condition is NaN where undefined, which never brackets, and
+    _OnsetTerms.defect, which is continuous and strictly decreasing, so a
+    cell brackets the one root when its lower value is > 0 and its upper
+    value < 0 or NaN.  A cell whose upper end still has a level below onset
+    is skipped, and a root is kept only where :func:`mismatch` is finite.
+    The printed condition is NaN where undefined, which never brackets, and
     defined on one interval of E, so a bracket with two finite ends holds no
     NaN; its tangential roots and two roots in one scan cell are missed.
     Raises OrderingNotSolvable unless the model's ordering is the reducing
     one, for which alone F exists, after the argument checks.
     """
-    return _Scan(model, variant, window, scan_points).roots(m, n, tol)
+    es = _scan_grid(window, scan_points)
+    if m < 0 or n < 0:
+        raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
+    return _TERMS[variant](model, es).roots(m, n, tol)
 
 
 def is_xy_symmetric(model: Model) -> bool:
@@ -371,13 +358,13 @@ def enumerate_spectrum(
     """
     if max_q < 0:
         raise ValueError(f"need max_q >= 0, got {max_q}")
-    scan = _Scan(model, variant, window, scan_points)
+    terms = _TERMS[variant](model, _scan_grid(window, scan_points))
     symmetric = is_xy_symmetric(model)
     entries: list[SpectrumEntry] = []
     for m in range(max_q + 1):
         n_start = m if symmetric else 0
         for n in range(n_start, max_q + 1):
-            found = scan.roots(m, n, tol)
+            found = terms.roots(m, n, tol)
             entries.extend(found)
             if symmetric and n > m:
                 entries.extend(_mirror(e) for e in found)
@@ -515,9 +502,10 @@ def compare_table(
     """
     found = {}
     for variant in Variant:
-        scan = _Scan(model, variant, window, scan_points)
+        terms = _TERMS[variant](model, _scan_grid(window, scan_points))
         for m, n, _ in REFERENCE_LEVELS:
-            found[variant, m, n] = [e.energy for e in scan.roots(m, n, tol)]
+            found[variant, m, n] = [e.energy for e in terms.roots(m, n, tol)]
+        del terms  # freed before the next variant's grid terms are built
     rows = []
     multi = []
     for m, n, e_ref in REFERENCE_LEVELS:

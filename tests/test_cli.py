@@ -60,6 +60,10 @@ BAD_CONFIGS = [
     ({"scan_points": 1000.0}, "scan_points must be an integer >= 100, got 1000.0"),
     ({"scan_points": None}, "scan_points must be an integer >= 100, got None"),
     ({"scan_points": True}, "scan_points must be an integer >= 100, got True"),
+    ({"max_q": 201}, "max_q must be at most 200, got 201"),
+    ({"max_q": 1000000}, "max_q must be at most 200, got 1000000"),
+    ({"scan_points": 20001}, "scan_points must be at most 20000, got 20001"),
+    ({"scan_points": 100000000000}, "scan_points must be at most 20000, got 100000000000"),
     ({"window": 5}, "'window' must be an object with keys lo, hi"),
     ({"window": {"lo": 0.0}}, "'window' must be an object with keys lo, hi"),
     ({"window": {"lo": None, "hi": 1.0}}, "field 'lo' must be a number, got None"),
@@ -75,6 +79,8 @@ BAD_CONFIGS = [
     ({"grid": {**GRID, "ny": 41.9}}, "field 'ny' must be an integer, got 41.9"),
     ({"grid": {**GRID, "nx": True}}, "field 'nx' must be an integer, got True"),
     ({"grid": {**GRID, "nx": 10}}, "need at least 16 nodes, got 10"),
+    ({"grid": {**GRID, "nx": 100000000000}}, "field 'nx' must be at most 1000, got 100000000000"),
+    ({"grid": {**GRID, "ny": 1001}}, "field 'ny' must be at most 1000, got 1001"),
     ({"grid": {**GRID, "x1": -3}}, "need x0 < x1, got [-2.0, -3.0]"),
     ({"grid": {**GRID, "y0": "0"}}, "field 'y0' must be a number, got '0'"),
     ({"tolerances": {"root": 1e-12}}, "'tolerances' must be an object with keys root, degeneracy, quadrature"),
@@ -144,7 +150,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [{"hbar": 2, "grid": {**GRID, "x0": -3}}, {"max_q": 0, "scan_points": 100}, {"window": {"lo": -1, "hi": 1}}],
+        [
+            {"hbar": 2, "grid": {**GRID, "x0": -3}},
+            {"max_q": 0, "scan_points": 100},
+            {"window": {"lo": -1, "hi": 1}},
+            {"max_q": 200, "scan_points": 20000, "grid": {**GRID, "nx": 1000, "ny": 1000}},
+        ],
     )
     def test_integers_accepted_where_numbers_are(self, data):
         cfg = config_from_dict(data)
@@ -209,6 +220,27 @@ class TestConfig:
         assert run_main("--config", str(path), "--out", str(tmp_path), "spectrum") == EXIT_CONFIG
         message = f"field '{field}' must be finite, got an integer too large for a double"
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "bad, argv, message",
+        [
+            ({"max_q": 1000000}, ["spectrum"], "max_q must be at most 200, got 1000000"),
+            ({"scan_points": 100000000000}, ["spectrum"], "scan_points must be at most 20000, got 100000000000"),
+            (
+                {"grid": {**GRID, "nx": 100000000000}},
+                ["fields", "--which", "potential"],
+                "field 'nx' must be at most 1000, got 100000000000",
+            ),
+        ],
+        ids=["max_q", "scan_points", "nx"],
+    )
+    def test_oversize_integer_exits_config_error(self, tmp_path, capsys, bad, argv, message):
+        # Unchecked, each would run the quadratic pair loop for hours or ask numpy for 745 GiB.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        assert run_main("--config", str(path), "--out", str(tmp_path), *argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_integer_past_the_digit_limit_exits_config_error(self, tmp_path, capsys):
         # Past 4300 digits json.load itself raises ValueError on interpreters
@@ -470,6 +502,15 @@ class TestVerifyCommand:
         assert f"PASS orthogonality: {overlaps}\n" in out
         assert out.endswith("all checks passed\n")
 
+    def test_no_fully_valid_level_skips_pde_residual(self, tmp_path, capsys):
+        # With no x dependence the x channel binds nothing: no level to check.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"g1": 0, "g2": 0, "b1": 0, "b2": 0}))
+        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_OK
+        out = capsys.readouterr().out
+        assert verify_statuses(out) == [("PASS", name) for name in readme_verify_checks()]
+        assert "PASS pde-residual: skipped: no fully valid levels\n" in out
+
     def test_corrupt_y_states_fail_node_counts_and_orthogonality(self, tmp_path, capsys, monkeypatch):
         import pdmorse.cli
 
@@ -663,7 +704,7 @@ class TestCompareTableCommand:
         out = capsys.readouterr().out
         assert "matches at" in out
         assert "eight-fold cluster" in out
-        assert "inversion" in out
+        assert "reference shows 59 energy inversions, e.g. (m,n)=(0,0) at -0.0669873 above (1,3) at -0.161438\n" in out
 
     def test_refuses_other_parameters(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

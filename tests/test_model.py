@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from pdmorse import (
     EvaluationOverflow,
     MassParams,
+    Model,
     OrderingParams,
+    PotentialParams,
     mass_at,
     mass_derivatives,
     potential_at,
@@ -54,6 +56,40 @@ class TestMassParams:
     def test_rejects_nonpositive_decay(self):
         with pytest.raises(ValueError):
             MassParams(m0=1.0, g1=1, g2=0, g3=1, g4=0, a1=0.0, a2=1)
+
+
+class TestModel:
+    def test_rejects_nonpositive_hbar(self, reference_model):
+        with pytest.raises(ValueError, match="^hbar must be positive, got 0$"):
+            Model(hbar=0, mass=reference_model.mass, pot=reference_model.pot, ordering=reference_model.ordering)
+
+
+#: Weights of 10 on e^{-2x}: at x = -354, e^{-2x} = 3.0e307 is finite, and ten of it is not.
+HEAVY = Model(
+    hbar=1.0,
+    mass=MassParams(m0=1.0, g1=1.0, g2=10.0, g3=1.0, g4=0.0, a1=1.0, a2=1.0),
+    pot=PotentialParams(r=0.0, a=1.0, b1=-1.0, b2=10.0, b3=-1.0, b4=0.125),
+    ordering=solve_ambiguity_free_ordering(),
+)
+
+
+class TestOverflowLocation:
+    # An array argument names its first non-finite node, and no numpy warning escapes.
+    @pytest.mark.parametrize(
+        "field, x, y, what, at",
+        [
+            (lambda x, y: mass_at(HEAVY.mass, x, y), [0.0, -1000.0], 0.0, "exp(-2*a1*x)", (-1000.0, 0.0)),
+            (lambda x, y: potential_at(HEAVY, x, y), 0.5, [0.0, 1.0, -400.0], "exp(-2*a2*y)", (0.5, -400.0)),
+            (lambda x, y: mass_at(HEAVY.mass, x, y), [0.0, -354.0], 0.0, "mass", (-354.0, 0.0)),
+            (lambda x, y: mass_derivatives(HEAVY.mass, x, y), [0.0, -354.0], 2.0, "mass derivatives", (-354.0, 2.0)),
+            (lambda x, y: potential_at(HEAVY, x, y), [[0.0], [-354.0]], [1.0, 3.0], "potential", (-354.0, 1.0)),
+        ],
+        ids=["exp-x", "exp-y", "mass", "mass-derivatives", "potential"],
+    )
+    def test_names_first_offending_node(self, field, x, y, what, at):
+        with pytest.raises(EvaluationOverflow) as exc:
+            field(np.asarray(x), np.asarray(y))
+        assert (exc.value.what, (exc.value.x, exc.value.y)) == (what, at)
 
 
 class TestMassAt:

@@ -44,6 +44,10 @@ class TestChannelFromGammas:
         ch = channel_from_gammas(-1.0, 0.125, 1.0, 2.0)
         assert (ch.eta, ch.nu) == (-0.5, 0.0625)
 
+    def test_rejects_nonpositive_decay(self):
+        with pytest.raises(ValueError, match="^decay rate must be positive, got 0$"):
+            MorseChannel(eta=-2.0, nu=0.25, alpha=0)
+
 
 class TestChannelPotential:
     def test_well_bottom(self, paper_channel):

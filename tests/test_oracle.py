@@ -116,6 +116,13 @@ class TestFdEigen1D:
         r = fd_eigen_1d(lambda x: 0.75, grid, 5)
         assert np.max(np.abs(r.eigenvalues - (modes + 0.75))) < 1e-10
 
+    def test_overflow_reports_offending_node(self):
+        # Non-finite only at the node x = 1 of 41 nodes over [0, 2].
+        u = lambda x: np.where(np.abs(x - 1.0) < 0.01, np.inf, x * x)
+        with pytest.raises(EvaluationOverflow) as exc:
+            fd_eigen_1d(u, Grid1D(0.0, 2.0, 41), 1)
+        assert (exc.value.what, exc.value.x, exc.value.y) == ("grid potential", 1.0, None)
+
     def test_requesting_too_many_levels(self):
         with pytest.raises(GridTooSmall):
             fd_eigen_1d(lambda x: np.zeros_like(x), Grid1D(0.0, 1.0, 16), 15)
@@ -213,6 +220,18 @@ class TestFdEigen2D:
         for method in ("auto", "separable"):
             with pytest.raises(ValueError, match=f"unknown method '{method}'"):
                 fd_eigen_2d(lambda X, Y: X**2 + Y**2, grid, 2, method=method)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: fd_eigen_1d(lambda x: x * x, Grid1D(-4.0, 4.0, 41), 0),
+            lambda: fd_eigen_2d(lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-4.0, 4.0, 41), Grid1D(-4.0, 4.0, 41)), 0, "lanczos"),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_no_level_requested_rejected(self, solve):
+        with pytest.raises(ValueError, match="^need k >= 1, got 0$"):
+            solve()
 
     # 16 x 16 nodes leave 14 x 14 = 196 interior nodes.
     ALL_NODES = Grid2D(Grid1D(-4.0, 4.0, 16), Grid1D(-4.0, 4.0, 16))

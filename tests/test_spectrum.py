@@ -11,6 +11,7 @@ from pdmorse import (
     EnergyWindow,
     Grid1D,
     Grid2D,
+    InvalidLevel,
     MassParams,
     Model,
     OrderingParams,
@@ -42,7 +43,7 @@ from pdmorse.spectrum import (
     TableRow,
     ValidityFlags,
     _mirror,
-    _onset_defect,
+    _OnsetTerms,
     is_xy_symmetric,
     validity_at,
 )
@@ -170,7 +171,7 @@ class TestDefectArrayPath:
             for n in range(5):
                 f = mismatch(model, Variant.FIRST_PRINCIPLES, m, n, es)
                 assert np.all(np.diff(f[np.isfinite(f)]) < 0.0), (m, n)
-                scan, _ = _onset_defect(model, m, n, es)
+                scan, _ = _OnsetTerms(model, es).defect(m, n)
                 assert np.array_equal(np.isnan(scan), dead), (m, n)
                 assert np.all(np.diff(scan[~dead]) < 0.0), (m, n)
 
@@ -224,6 +225,28 @@ class TestFindRoots:
     def test_scan_points_floor(self, reference_model, window):
         with pytest.raises(ValueError):
             find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window, scan_points=50)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda model, w: mismatch(model, Variant.PAPER_PRINTED, -1, 0, 0.0),
+                InvalidLevel,
+                r"quantum numbers must be non-negative, got \(-1, 0\)",
+            ),
+            (
+                lambda model, w: find_roots(model, Variant.FIRST_PRINCIPLES, 0, -1, w),
+                InvalidLevel,
+                r"quantum numbers must be non-negative, got \(0, -1\)",
+            ),
+            (lambda model, w: enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, w, -1), ValueError, "need max_q >= 0, got -1"),
+            (lambda model, w: group_degeneracies([], -1e-9), ValueError, "tolerance must be non-negative"),
+        ],
+        ids=["mismatch-m", "find_roots-n", "enumerate-max_q", "degeneracy-tol"],
+    )
+    def test_argument_guards(self, reference_model, window, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call(reference_model, window)
 
     def test_itp_probe_counts(self, reference_model, window, monkeypatch):
         # README: every bracket of the reference model's two spectra and of
@@ -484,6 +507,13 @@ class TestPdeResidual:
         base = pde_residual(reference_model, entry, grid)
         bumped = replace(entry, energy=entry.energy + 1e-3)
         assert pde_residual(reference_model, bumped, grid) > 10.0 * max(base, 1e-12)
+
+    def test_state_vanishing_on_the_grid_raises(self, reference_model, window):
+        # Far left of both wells the closed-form state underflows to 0 at every node.
+        grid = Grid2D(Grid1D(-60.0, -50.0, 21), Grid1D(-60.0, -50.0, 21))
+        entry = find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window)[0]
+        with pytest.raises(ValueError, match="^eigenfunction vanishes on the whole grid$"):
+            pde_residual(reference_model, entry, grid)
 
     def test_free_model_never_reaches_residual(self):
         # With all exponential weights zero there is no bound machinery to
