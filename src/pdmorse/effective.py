@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderingNotSolvable
+from .errors import OrderingNotSolvable, finite_field
 from .model import Model, OrderingParams, exponential_sum, mass_derivatives, potential_at
 from .morse1d import MorseChannel, channel_from_gammas
 
@@ -61,12 +61,13 @@ def veff_at(model: Model, x, y):
     """
     m, mx, my, mxx, myy = mass_derivatives(model.mass, x, y)
     v = potential_at(model, x, y)
-    grad2 = (mx / m) ** 2 + (my / m) ** 2
-    bracket = 2.0 * grad_coefficient(model.ordering) * grad2 - laplacian_coefficient(
-        model.ordering
-    ) * (mxx + myy) / m
-    out = v + (model.hbar * model.hbar) / (4.0 * m) * bracket
-    return out if np.ndim(out) else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad2 = (mx / m) ** 2 + (my / m) ** 2
+        bracket = 2.0 * grad_coefficient(model.ordering) * grad2 - laplacian_coefficient(
+            model.ordering
+        ) * (mxx + myy) / m
+        out = v + (model.hbar * model.hbar) / (4.0 * m) * bracket
+    return finite_field("V_eff", out, x, y)
 
 
 def gammas_at(model: Model, e_trial: float) -> GammaSet:
@@ -115,5 +116,4 @@ def ueff_at(model: Model, e_trial: float, x, y):
     residual mass-gradient terms and is rejected.
     """
     g = gammas_at(model, e_trial)
-    u = exponential_sum(model.mass, g.gamma1, g.gamma2, g.gamma3, g.gamma4, x, y)
-    return u if np.ndim(u) else float(u)
+    return exponential_sum(model.mass, g.gamma1, g.gamma2, g.gamma3, g.gamma4, x, y)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationOverflow
+from .errors import finite_field
 
 #: Tolerance on the kinetic-ordering trace condition alpha + beta + gamma = -1.
 ORDERING_TOL = 1e-12
@@ -92,16 +92,6 @@ class Model:
             raise ValueError(f"hbar must be positive, got {self.hbar!r}")
 
 
-def _raise_overflow(what: str, arr, x, y):
-    """Locate the first non-finite entry of ``arr`` and raise with coordinates."""
-    if np.ndim(arr) == 0:
-        raise EvaluationOverflow(what, float(x), float(y))
-    bad = int(np.argmax(~np.isfinite(arr)))
-    xb = float(np.broadcast_to(np.asarray(x, dtype=float), np.shape(arr)).flat[bad])
-    yb = float(np.broadcast_to(np.asarray(y, dtype=float), np.shape(arr)).flat[bad])
-    raise EvaluationOverflow(what, xb, yb)
-
-
 def _exponentials(mass: MassParams, x, y):
     """The four basis exponentials e1..e4 at (x, y), overflow-checked, called inside one
     np.errstate with the caller's sums: an overflow raises one typed error and no warning."""
@@ -109,18 +99,18 @@ def _exponentials(mass: MassParams, x, y):
     e3 = np.exp(-mass.a2 * np.asarray(y, dtype=float))
     e2 = e1 * e1
     e4 = e3 * e3
-    if not np.all(np.isfinite(e2)):
-        _raise_overflow("exp(-2*a1*x)", e2, x, y)
-    if not np.all(np.isfinite(e4)):
-        _raise_overflow("exp(-2*a2*y)", e4, x, y)
+    finite_field("exp(-2*a1*x)", e2, x, y)
+    finite_field("exp(-2*a2*y)", e4, x, y)
     return e1, e2, e3, e4
 
 
 def exponential_sum(mass: MassParams, w1, w2, w3, w4, x, y):
-    """w1 e1 + w2 e2 + w3 e3 + w4 e4 over the basis exponentials at (x, y), overflow-checked."""
-    with np.errstate(over="ignore"):
+    """w1 e1 + w2 e2 + w3 e3 + w4 e4 over the basis exponentials at (x, y), overflow-checked
+    under the label of its one use, the reduced potential u_eff."""
+    with np.errstate(over="ignore", invalid="ignore"):
         e1, e2, e3, e4 = _exponentials(mass, x, y)
-    return w1 * e1 + w2 * e2 + w3 * e3 + w4 * e4
+        s = w1 * e1 + w2 * e2 + w3 * e3 + w4 * e4
+    return finite_field("u_eff", s, x, y)
 
 
 def mass_at(mass: MassParams, x, y):
@@ -133,9 +123,7 @@ def mass_at(mass: MassParams, x, y):
     with np.errstate(over="ignore"):
         e1, e2, e3, e4 = _exponentials(mass, x, y)
         m = mass.m0 * (1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4)
-    if not np.all(np.isfinite(m)):
-        _raise_overflow("mass", m, x, y)
-    return m if np.ndim(m) else float(m)
+    return finite_field("mass", m, x, y)
 
 
 def mass_derivatives(mass: MassParams, x, y):
@@ -148,13 +136,7 @@ def mass_derivatives(mass: MassParams, x, y):
         my = m0 * (-a2 * mass.g3 * e3 - 2.0 * a2 * mass.g4 * e4)
         mxx = m0 * (a1 * a1 * mass.g1 * e1 + 4.0 * a1 * a1 * mass.g2 * e2)
         myy = m0 * (a2 * a2 * mass.g3 * e3 + 4.0 * a2 * a2 * mass.g4 * e4)
-    out = (m, mx, my, mxx, myy)
-    for v in out:
-        if not np.all(np.isfinite(v)):
-            _raise_overflow("mass derivatives", v, x, y)
-    if np.ndim(m):
-        return out
-    return tuple(float(v) for v in out)
+    return tuple(finite_field("mass derivatives", v, x, y) for v in (m, mx, my, mxx, myy))
 
 
 def potential_at(model: Model, x, y):
@@ -169,9 +151,7 @@ def potential_at(model: Model, x, y):
         s = 1.0 + mass.g1 * e1 + mass.g3 * e3 + mass.g2 * e2 + mass.g4 * e4
         num = pot.a + pot.b1 * e1 + pot.b3 * e3 + pot.b2 * e2 + pot.b4 * e4
         v = pot.r + num / (mass.m0 * s)
-    if not np.all(np.isfinite(v)):
-        _raise_overflow("potential", v, x, y)
-    return v if np.ndim(v) else float(v)
+    return finite_field("potential", v, x, y)
 
 
 def solve_ambiguity_free_ordering() -> OrderingParams:

@@ -42,8 +42,10 @@ class MorseChannel:
         return 2.0 * math.sqrt(self.nu) / self.alpha
 
     def potential(self, x):
-        """The channel's potential eta e^{-ax} + nu e^{-2ax}, elementwise."""
-        return self.eta * np.exp(-self.alpha * x) + self.nu * np.exp(-2.0 * self.alpha * x)
+        """The channel's potential eta e^{-ax} + nu e^{-2ax}, elementwise; inf or NaN, without
+        a numpy warning, where an exponential overflows, for the caller's finite_field to report."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.eta * np.exp(-self.alpha * x) + self.nu * np.exp(-2.0 * self.alpha * x)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import channels_at, epsilon_of
-from .errors import EvaluationOverflow, GridTooSmall, InvalidLevel, NoBracket, NotConverged, Unbounded
+from .errors import GridTooSmall, InvalidLevel, NoBracket, NotConverged, Unbounded, finite_field
 from .model import Model, potential_at
 from .morse1d import MorseChannel, energy_1d, m_max
 
@@ -94,10 +94,7 @@ def _dirichlet_levels(potential, grid: Grid1D, first: int, last: int) -> np.ndar
     if last >= n_int:
         raise GridTooSmall(f"requested {last + 1} levels but grid has {n_int} interior nodes")
     x = grid.interior()
-    u = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
-    if not np.all(np.isfinite(u)):
-        bad = int(np.argmax(~np.isfinite(u)))
-        raise EvaluationOverflow("grid potential", float(x[bad]))
+    u = finite_field("grid potential", np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape), x)
     h2 = grid.h * grid.h
     diag = 2.0 / h2 + u
     off = np.full(n_int - 1, -1.0 / h2)
@@ -145,10 +142,7 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     import scipy.sparse
 
     X, Y = np.meshgrid(grid.x.interior(), grid.y.interior())
-    u = np.broadcast_to(np.asarray(potential(X, Y), dtype=float), X.shape)
-    if not np.all(np.isfinite(u)):
-        bad = np.unravel_index(int(np.argmax(~np.isfinite(u))), u.shape)
-        raise EvaluationOverflow("grid potential", float(X[bad]), float(Y[bad]))
+    u = finite_field("grid potential", np.broadcast_to(np.asarray(potential(X, Y), dtype=float), X.shape), X, Y)
     # min u < sigma < lower <= lam_1(A) (see above), so A - sigma I is
     # symmetric positive definite and a symmetric minimum-degree ordering of
     # A^T + A fills in less than the COLAMD column ordering eigsh would use.

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .effective import channels_at, epsilon_of, gammas_at, split_channels, ueff_at
-from .errors import DegenerateWindow, InvalidLevel
+from .errors import DegenerateWindow, InvalidLevel, finite_field
 from .model import Model, mass_at
 from .morse1d import energy_1d, level_epsilon, wavefunction_1d
 
@@ -437,15 +437,16 @@ def pde_residual(model: Model, entry: SpectrumEntry, grid: "oracle.Grid2D") -> f
 
     The Laplacian is taken analytically through the per-axis relations
     X'' = (eta e^{-ax} + nu e^{-2ax} - eps_m) X, so for a true root the
-    residual is an algebraic identity up to rounding.
+    residual is an algebraic identity up to rounding.  A channel potential or
+    u_eff that overflows on the grid raises EvaluationOverflow at its first node.
     """
     chx, sx, chy, sy = _prepared_axes(model, entry)
     xs = grid.x.nodes()
     ys = grid.y.nodes()
     X = sx.norm * wavefunction_1d(chx, sx, xs)
     Y = sy.norm * wavefunction_1d(chy, sy, ys)
-    Xpp = (chx.potential(xs) - sx.epsilon) * X
-    Ypp = (chy.potential(ys) - sy.epsilon) * Y
+    Xpp = (finite_field("x channel potential", chx.potential(xs), xs, ys[0]) - sx.epsilon) * X
+    Ypp = (finite_field("y channel potential", chy.potential(ys), xs[0], ys) - sy.epsilon) * Y
 
     chi = np.outer(Y, X)
     lap = np.outer(Y, Xpp) + np.outer(Ypp, X)

@@ -80,3 +80,20 @@ def test_every_module_uses_what_it_imports():
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(paths) >= 8
     assert [hit for path in paths for hit in unused_imports(path.read_text(encoding="utf-8"), path.name)] == []
+
+
+def overflow_raisers(path: Path) -> list[str]:
+    """Calls that construct ``EvaluationOverflow``, bare or as a module attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "EvaluationOverflow" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_finite_field_is_the_only_overflow_raiser():
+    # One rule reports a non-finite field value: errors.finite_field, nowhere else.
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in overflow_raisers(path)]
+    assert len(hits) == 1 and hits[0].startswith("errors.py:"), hits

@@ -881,3 +881,17 @@ class TestSubprocessEntrypoints:
         )
         assert cp.returncode == 0, cp.stderr
         assert (tmp_path / "spectrum.csv").exists()
+
+    def test_ueff_overflow_is_one_numerical_failure(self, tmp_path):
+        # 10 e^{-2x} overflows on the grid's first column, x = -354: one typed error
+        # on stderr, no numpy warning there, and no field.csv.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"g2": 10.0, "b2": 10.0, "grid": {**GRID, "x0": -354.0}}))
+        cp = subprocess.run(
+            [sys.executable, "-m", "pdmorse", "--config", str(config), "--out", str(tmp_path), "fields", "--which", "ueff"],
+            capture_output=True,
+            text=True,
+        )
+        assert cp.returncode == 2
+        assert cp.stderr == "numerical failure: u_eff overflowed to a non-finite value at x=-354.0, y=-2.0\n"
+        assert not (tmp_path / "field.csv").exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from pdmorse import (
     mass_derivatives,
     potential_at,
     solve_ambiguity_free_ordering,
+    ueff_at,
+    veff_at,
 )
 
 
@@ -83,8 +86,14 @@ class TestOverflowLocation:
             (lambda x, y: mass_at(HEAVY.mass, x, y), [0.0, -354.0], 0.0, "mass", (-354.0, 0.0)),
             (lambda x, y: mass_derivatives(HEAVY.mass, x, y), [0.0, -354.0], 2.0, "mass derivatives", (-354.0, 2.0)),
             (lambda x, y: potential_at(HEAVY, x, y), [[0.0], [-354.0]], [1.0, 3.0], "potential", (-354.0, 1.0)),
+            # e^{-2x} is finite at x = -354, gamma2 e^{-2x} = 10 e^{708} is not.
+            (lambda x, y: ueff_at(HEAVY, 0.0, x, y), [0.0, -354.0], 1.0, "u_eff", (-354.0, 1.0)),
+            # A scalar x whose exponential overflows, over an array of y: its first pair.
+            (lambda x, y: mass_at(HEAVY.mass, x, y), -1000.0, [2.0, 3.0], "exp(-2*a1*x)", (-1000.0, 2.0)),
+            # hbar^2 = inf times the vanishing bracket of the reducing ordering: NaN at every node.
+            (lambda x, y: veff_at(replace(HEAVY, hbar=1e200), x, y), [0.0, 1.0], 2.0, "V_eff", (0.0, 2.0)),
         ],
-        ids=["exp-x", "exp-y", "mass", "mass-derivatives", "potential"],
+        ids=["exp-x", "exp-y", "mass", "mass-derivatives", "potential", "ueff", "exp-x-scalar", "veff"],
     )
     def test_names_first_offending_node(self, field, x, y, what, at):
         with pytest.raises(EvaluationOverflow) as exc:

@@ -123,6 +123,14 @@ class TestFdEigen1D:
             fd_eigen_1d(u, Grid1D(0.0, 2.0, 41), 1)
         assert (exc.value.what, exc.value.x, exc.value.y) == ("grid potential", 1.0, None)
 
+    def test_morse_channel_overflow_reports_first_interior_node(self, paper_channel):
+        # nu e^{-2x} overflows left of x = -354.9, so from the first interior node
+        # on, and is reported there without a numpy warning.
+        grid = Grid1D(-400.0, 8.0, 100)
+        with pytest.raises(EvaluationOverflow) as exc:
+            fd_eigen_1d(paper_channel.potential, grid, 1)
+        assert (exc.value.what, exc.value.x, exc.value.y) == ("grid potential", float(grid.interior()[0]), None)
+
     def test_requesting_too_many_levels(self):
         with pytest.raises(GridTooSmall):
             fd_eigen_1d(lambda x: np.zeros_like(x), Grid1D(0.0, 1.0, 16), 15)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pdmorse import (
     DegenerateWindow,
     EnergyWindow,
+    EvaluationOverflow,
     Grid1D,
     Grid2D,
     InvalidLevel,
@@ -514,6 +515,14 @@ class TestPdeResidual:
         entry = find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window)[0]
         with pytest.raises(ValueError, match="^eigenfunction vanishes on the whole grid$"):
             pde_residual(reference_model, entry, grid)
+
+    def test_channel_overflow_reports_first_node(self, reference_model, window):
+        # The x channel's nu e^{-2x} overflows at the grid's first column, x = -400.
+        grid = Grid2D(Grid1D(-400.0, 10.0, 83), Grid1D(-2.0, 10.0, 21))
+        entry = find_roots(reference_model, Variant.FIRST_PRINCIPLES, 0, 0, window)[0]
+        with pytest.raises(EvaluationOverflow) as exc:
+            pde_residual(reference_model, entry, grid)
+        assert (exc.value.what, exc.value.x, exc.value.y) == ("x channel potential", -400.0, -2.0)
 
     def test_free_model_never_reaches_residual(self):
         # With all exponential weights zero there is no bound machinery to
