@@ -21,8 +21,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import effective, oracle, spectrum
-from .effective import channels_at, require_reduction_ordering, ueff_at, veff_at, xi_of
+from . import oracle
+from .checks import VERIFY_CHECKS
+from .effective import require_reduction_ordering, ueff_at
 from .errors import (
     ConfigError,
     DegenerateWindow,
@@ -35,8 +36,7 @@ from .errors import (
     Unbounded,
     UnknownLevel,
 )
-from .model import MassParams, Model, OrderingParams, PotentialParams, mass_at, potential_at, solve_ambiguity_free_ordering
-from .morse1d import MorseChannel, energy_1d, m_max, wavefunction_1d
+from .model import MassParams, Model, OrderingParams, PotentialParams, mass_at, potential_at
 from .spectrum import (
     EnergyWindow,
     Variant,
@@ -46,7 +46,6 @@ from .spectrum import (
     enumerate_spectrum,
     find_roots,
     group_degeneracies,
-    pde_residual,
     psi_mn,
 )
 
@@ -321,152 +320,6 @@ def cmd_fields(
     return EXIT_OK
 
 
-def _check_ordering(cfg: RunConfig) -> str:
-    o = solve_ambiguity_free_ordering()
-    assert (o.alpha, o.beta, o.gamma) == (-0.5, 0.0, -0.5), "unexpected ordering solution"
-    c1, c2 = effective.laplacian_coefficient(o), effective.grad_coefficient(o)
-    assert c1 == 0.0 and c2 == 0.0, f"conditions not zero: {c1}, {c2}"
-    return "alpha=gamma=-1/2, beta=0; both conditions vanish"
-
-
-def _check_reduction(cfg: RunConfig) -> str:
-    model = cfg.model
-    xs = np.linspace(-2.0, 6.0, 41)
-    X, Y = np.meshgrid(xs, xs)
-    M = mass_at(model.mass, X, Y)
-    veff = veff_at(model, X, Y)
-    worst = 0.0
-    for e in np.linspace(-0.4, 1.0, 5):
-        general = M * (veff - e) + xi_of(model, float(e))
-        reduced = ueff_at(model, float(e), X, Y)
-        worst = max(worst, float(np.max(np.abs(general - reduced))))
-    assert worst < 1e-10, f"reduction identity defect {worst:.3e}"
-    return f"max defect {worst:.3e} on 41x41 grid, 5 energies"
-
-
-def _bound_channels(cfg: RunConfig) -> list[tuple[str, MorseChannel]]:
-    """(axis, channel) for each channel at E = r that holds a bound level."""
-    return [(axis, ch) for axis, ch in zip("xy", channels_at(cfg.model, cfg.model.pot.r)) if m_max(ch) is not None]
-
-
-def _check_oracle_1d(cfg: RunConfig) -> str:
-    channels = _bound_channels(cfg)
-    if not channels:
-        return "skipped: no channel holds a level at r"
-    worst, cut = 0.0, None
-    for axis, ch in channels:
-        top = m_max(ch)
-        grid = oracle.auto_grid_1d(ch)
-        # The three-point error is even in h: (4 E_{h/2} - E_h)/3 cancels
-        # its h^2 term, which a shallow level's slow tail makes large.
-        half = oracle.Grid1D(grid.x0, grid.x1, 2 * grid.n - 1)
-        e_h = oracle.fd_eigen_1d(ch.potential, grid, top + 1).eigenvalues
-        e_h2 = oracle.fd_eigen_1d(ch.potential, half, top + 1).eigenvalues
-        fd = (4.0 * e_h2 - e_h) / 3.0
-        for mm in range(top + 1):
-            state = energy_1d(ch, mm)
-            rel = abs(fd[mm] - state.epsilon) / abs(state.epsilon)
-            # Below the grid's mu floor a level's tail reaches past the right wall.
-            if rel < 1e-4 or state.mu >= oracle.AUTO_GRID_MU_FLOOR:
-                worst = max(worst, rel)
-            elif cut is None:
-                cut = GridTooSmall(
-                    f"{axis}-axis level {mm} has mu = {state.mu:.3e}, below the 1D oracle grid's floor "
-                    f"{oracle.AUTO_GRID_MU_FLOOR:g}, which cuts off its tail (relative error {rel:.3e})"
-                )
-    assert worst < 1e-4, f"1D oracle disagreement {worst:.3e}"
-    if cut is not None:
-        raise cut
-    return f"max relative eigenvalue error {worst:.3e} (Richardson, h and h/2)"
-
-
-def _check_nodes(cfg: RunConfig) -> str:
-    counted = []
-    for axis, ch in _bound_channels(cfg):
-        top = min(m_max(ch), 4)
-        grid = oracle.auto_grid_1d(ch)
-        xs = np.linspace(grid.x0, grid.x1, 4001)
-        for mm in range(top + 1):
-            vals = wavefunction_1d(ch, energy_1d(ch, mm), xs)
-            sig = vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))]
-            nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
-            assert nodes == mm, f"{axis}-axis level {mm} shows {nodes} sign changes"
-        counted.append(f"{axis}: m <= {top}")
-    return f"node counts match m ({', '.join(counted)})" if counted else "skipped: no channel holds a level at r"
-
-
-def _check_orthogonality(cfg: RunConfig) -> str:
-    # Composite 20-point Gauss-Legendre over the oracle domain plus 40
-    # e-foldings of level 1's slower outer tail.  numpy's rule: importing
-    # scipy.integrate would add ~23 MB to this command's peak memory.
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    overlaps = []
-    for axis, ch in _bound_channels(cfg):
-        if m_max(ch) < 1:
-            continue
-        s0, s1 = energy_1d(ch, 0), energy_1d(ch, 1)
-        grid = oracle.auto_grid_1d(ch)
-        hi = grid.x1 + 40.0 / (s1.mu * ch.alpha)
-        edges = np.concatenate([np.linspace(grid.x0, grid.x1, 129), np.linspace(grid.x1, hi, 129)[1:]])
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * nodes).ravel()
-        w = (half[:, None] * weights).ravel()
-        overlap = float(np.sum(w * s0.norm * wavefunction_1d(ch, s0, t) * s1.norm * wavefunction_1d(ch, s1, t)))
-        assert abs(overlap) < 1e-8, f"{axis}-axis levels 0 and 1 overlap {overlap:.3e}"
-        overlaps.append(f"{axis}: <0|1> = {abs(overlap):.3e}")
-    return ", ".join(overlaps) or "skipped: fewer than two levels"
-
-
-def _check_backsub(cfg: RunConfig, window, entries, fp_entries) -> str:
-    # find_roots stored |F| at each root as its residual.
-    for e in entries:
-        assert e.residual < 1e-10, f"({e.m},{e.n}) residual {e.residual:.3e}"
-    return f"{len(entries)} levels, worst |F| = {max((e.residual for e in entries), default=0.0):.3e}"
-
-
-def _check_pde(cfg: RunConfig, window, entries, fp_entries) -> str:
-    valid = [e for e in fp_entries if e.valid.all_ok]
-    if not valid:
-        return "skipped: no fully valid levels"
-    grid = oracle.Grid2D(oracle.Grid1D(-2.0, 8.0, 61), oracle.Grid1D(-2.0, 8.0, 61))
-    worst = max(pde_residual(cfg.model, e, grid) for e in valid[:3])
-    assert worst < 1e-10, f"PDE residual {worst:.3e}"
-    return f"max relative residual {worst:.3e} over {min(3, len(valid))} levels"
-
-
-def _check_window(cfg: RunConfig, window, entries, fp_entries) -> str:
-    for e in entries:
-        assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9, f"({e.m},{e.n}) energy {e.energy} outside window"
-    return f"{len(entries)} energies inside [{_fmt(window.lo)}, {_fmt(window.hi)}]"
-
-
-def _check_degeneracy(cfg: RunConfig, window, entries, fp_entries) -> str:
-    clusters = group_degeneracies(entries, cfg.tol_degeneracy)
-    if spectrum.is_xy_symmetric(cfg.model):
-        levels = {(e.m, e.n, e.energy) for e in entries}
-        for e in entries:
-            assert (e.n, e.m, e.energy) in levels, f"({e.m},{e.n}) lacks an exact mirror partner"
-    multi = [c for c in clusters if c.multiplicity > 1]
-    return f"{len(clusters)} clusters, {len(multi)} degenerate"
-
-
-#: The verify suite in run order: (name, check, reads_study).  Each check
-#: takes the config and returns a detail string or raises.  One that reads the
-#: study also takes the window, the configured variant's spectrum and the
-#: first-principles one, which cmd_verify resolves once before any check runs.
-VERIFY_CHECKS = (
-    ("ordering-solution", _check_ordering, False),
-    ("reduction-identity", _check_reduction, False),
-    ("1d-oracle", _check_oracle_1d, False),
-    ("node-counts", _check_nodes, False),
-    ("orthogonality", _check_orthogonality, False),
-    ("back-substitution", _check_backsub, True),
-    ("pde-residual", _check_pde, True),
-    ("window-containment", _check_window, True),
-    ("degeneracy", _check_degeneracy, True),
-)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     """Run every invariant check, printing one pass/fail line per check.
 
@@ -479,7 +332,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         entries = run(cfg.variant)
         # Printed-condition roots are not eigenvalues of the reduced PDE.
         fp_entries = entries if cfg.variant is Variant.FIRST_PRINCIPLES else run(Variant.FIRST_PRINCIPLES)
-        study = (window, entries, fp_entries)
+        study = (window, entries, fp_entries, cfg.tol_degeneracy)
     except Exception as exc:  # noqa: BLE001 - each check that reads the study reports it
         study = exc
     first_failure = None
@@ -487,7 +340,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         try:
             if reads_study and isinstance(study, Exception):
                 raise study
-            detail = check(cfg, *study) if reads_study else check(cfg)
+            detail = check(cfg.model, *study) if reads_study else check(cfg.model)
             print(f"PASS {name}: {detail}")
         except Exception as exc:  # noqa: BLE001 - report and keep going
             print(f"FAIL {name}: {exc}")

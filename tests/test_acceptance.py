@@ -23,19 +23,19 @@ from pdmorse import (
     m_max,
     mass_derivatives,
     minimize_potential,
-    mismatch,
     oracle_energy_2d,
     pde_residual,
     potential_at,
-    solve_ambiguity_free_ordering,
     ueff_at,
     wavefunction_1d,
     xi_of,
 )
+from pdmorse.checks import check_backsub, check_degeneracy, check_ordering, check_window
 from pdmorse.cli import main as cli_main
 from pdmorse.effective import grad_coefficient, laplacian_coefficient
 from pdmorse.morse1d import MorseChannel
 from pdmorse.oracle import auto_grid_1d
+from pdmorse.spectrum import is_xy_symmetric
 from tests.conftest import draw_supported_channels, quad_overlap
 
 
@@ -53,15 +53,12 @@ def fp_entries(reference_model, window):
     return enumerate_spectrum(reference_model, Variant.FIRST_PRINCIPLES, window, 6)
 
 
-def test_criterion_01_ordering_solution():
+def test_criterion_01_ordering_solution(reference_model):
     t0 = time.perf_counter()
-    o = solve_ambiguity_free_ordering()
+    detail = check_ordering(reference_model)
     elapsed = time.perf_counter() - t0
-    assert (o.alpha, o.beta, o.gamma) == (-0.5, 0.0, -0.5)
-    assert o.alpha + o.gamma + 1.0 == 0.0
-    assert o.alpha + o.gamma + o.alpha * o.gamma + 0.75 == 0.0
     assert elapsed < 1e-3
-    report(1, f"ordering (-1/2, 0, -1/2), both conditions exactly zero, {elapsed * 1e6:.0f} us")
+    report(1, f"{detail}, {elapsed * 1e6:.0f} us")
 
 
 def test_criterion_02_potential_window(reference_model):
@@ -147,27 +144,18 @@ def test_criterion_05_wavefunction_properties():
     )
 
 
-def test_criterion_06_spectrum_self_consistency(reference_model, window):
+def test_criterion_06_spectrum_self_consistency(reference_model, window, fp_entries):
     t0 = time.perf_counter()
-    counts = {}
+    # The degeneracy check compares mirror root lists only for symmetric parameters.
+    assert is_xy_symmetric(reference_model)
+    details = []
     for variant in Variant:
-        entries = enumerate_spectrum(reference_model, variant, window, 6)
-        counts[variant] = len(entries)
-        by_pair = {}
-        for e in entries:
-            assert abs(mismatch(reference_model, variant, e.m, e.n, e.energy)) < 1e-10
-            assert window.lo - 1e-9 <= e.energy <= window.hi + 1e-9
-            by_pair.setdefault((e.m, e.n), []).append(e.energy)
-        for (m, n), energies in by_pair.items():
-            assert sorted(by_pair[(n, m)]) == sorted(energies)  # exact float equality
+        study = (window, enumerate_spectrum(reference_model, variant, window, 6), fp_entries, 1e-6)
+        rows = [check(reference_model, *study) for check in (check_backsub, check_window, check_degeneracy)]
+        details.append(f"{variant.value}: {'; '.join(rows)}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(
-        6,
-        f"back-substitution < 1e-10 and exact mirror symmetry for "
-        f"{counts[Variant.FIRST_PRINCIPLES]} first-principles + "
-        f"{counts[Variant.PAPER_PRINTED]} paper-printed entries, {elapsed:.1f}s",
-    )
+    report(6, f"back-substitution < 1e-10, window and exact mirror lists; {' | '.join(details)}, {elapsed:.1f}s")
 
 
 def test_criterion_07_pde_residual(reference_model, fp_entries):

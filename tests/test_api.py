@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pdmorse
@@ -97,3 +99,38 @@ def test_finite_field_is_the_only_overflow_raiser():
     # One rule reports a non-finite field value: errors.finite_field, nowhere else.
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in overflow_raisers(path)]
     assert len(hits) == 1 and hits[0].startswith("errors.py:"), hits
+
+
+def test_import_loads_neither_the_front_end_nor_the_checks():
+    # `import pdmorse` is the library: the CLI and its check table load only when asked for.
+    cp = subprocess.run(
+        [sys.executable, "-c", "import sys, pdmorse; print(sorted(m for m in sys.modules if m.startswith('pdmorse')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    loaded = ast.literal_eval(cp.stdout)
+    assert "pdmorse.effective" in loaded
+    assert "pdmorse.cli" not in loaded and "pdmorse.checks" not in loaded
+
+
+def imports_of_cli(path: Path) -> list[str]:
+    """Imports in ``path`` that bind the ``cli`` module or a name from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "cli" or any(alias.name == "cli" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, ast.Import) and any(alias.name.split(".")[-1] == "cli" for alias in node.names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_library_module_imports_the_cli():
+    # The front end depends on the library, never the reverse; __main__ is the front end's entry.
+    assert imports_of_cli(SRC / "__main__.py") != []
+    library = [path for path in sorted(SRC.glob("*.py")) if path.name not in ("cli.py", "__main__.py")]
+    assert len(library) >= 8
+    assert [hit for path in library for hit in imports_of_cli(path)] == []

@@ -438,11 +438,11 @@ class TestVerifyCommand:
     def test_held_level_violation_outranks_a_level_below_grid_floor(self, tmp_path, capsys, monkeypatch):
         from dataclasses import replace
 
-        import pdmorse.cli
+        import pdmorse.checks
 
-        real = pdmorse.cli.energy_1d
+        real = pdmorse.checks.energy_1d
         monkeypatch.setattr(
-            pdmorse.cli, "energy_1d",
+            pdmorse.checks, "energy_1d",
             lambda ch, m: replace(real(ch, m), epsilon=real(ch, m).epsilon * 1.001) if m == 0 else real(ch, m),
         )
         path = tmp_path / "cfg.json"
@@ -486,8 +486,13 @@ class TestVerifyCommand:
                 {"b1": -0.2, "b3": -0.2}, "skipped: no channel holds a level at r",
                 "skipped: no channel holds a level at r", "skipped: fewer than two levels",
             ),
+            # At x = -2 the mass is 9e6 times m0, so reduction-identity reads a relative defect.
+            (
+                {"a1": 4}, "max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
+                "node counts match m (y: m <= 1)", "y: <0|1> = 1.247e-17",
+            ),
         ],
-        ids=["x-binds-none", "x-binds-one", "neither-binds"],
+        ids=["x-binds-none", "x-binds-one", "neither-binds", "steep-x-mass"],
     )
     def test_channel_checks_read_the_channels_that_hold_a_level(
         self, tmp_path, capsys, data, oracle_1d, nodes, overlaps
@@ -512,16 +517,16 @@ class TestVerifyCommand:
         assert "PASS pde-residual: skipped: no fully valid levels\n" in out
 
     def test_corrupt_y_states_fail_node_counts_and_orthogonality(self, tmp_path, capsys, monkeypatch):
-        import pdmorse.cli
+        import pdmorse.checks
 
         data = {"a2": 1.3, "b3": -1.1, "g3": 0.4}
         model = config_from_dict(data).model
         chx, chy = channels_at(model, model.pot.r)
         assert chx != chy
         # |phi| erases level 1's node and makes it overlap level 0; x stays exact.
-        real = pdmorse.cli.wavefunction_1d
+        real = pdmorse.checks.wavefunction_1d
         monkeypatch.setattr(
-            pdmorse.cli, "wavefunction_1d", lambda ch, s, t: np.abs(real(ch, s, t)) if ch == chy else real(ch, s, t)
+            pdmorse.checks, "wavefunction_1d", lambda ch, s, t: np.abs(real(ch, s, t)) if ch == chy else real(ch, s, t)
         )
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
@@ -548,15 +553,15 @@ class TestVerifyCommand:
     def test_moved_closed_form_level_fails_1d_oracle(self, tmp_path, capsys, monkeypatch, level):
         from dataclasses import replace
 
-        import pdmorse.cli
+        import pdmorse.checks
 
-        real = pdmorse.cli.energy_1d
+        real = pdmorse.checks.energy_1d
 
         def moved(ch, m):
             state = real(ch, m)
             return replace(state, epsilon=state.epsilon * (1.0 + 1e-3)) if m == level else state
 
-        monkeypatch.setattr(pdmorse.cli, "energy_1d", moved)
+        monkeypatch.setattr(pdmorse.checks, "energy_1d", moved)
         assert run_main("--out", str(tmp_path), "verify") == EXIT_INVARIANT
         out = capsys.readouterr().out
         # |E_fd - 1.001 eps| / |1.001 eps| = 1e-3 / 1.001.
@@ -599,6 +604,44 @@ class TestVerifyCommand:
         monkeypatch.setattr(pdmorse.cli, "enumerate_spectrum", lambda *a: calls.append(a[1]) or real(*a))
         assert run_main("--variant", variant, "--out", str(tmp_path), "verify") == EXIT_OK
         assert [v.value for v in calls] == [variant, "first-principles"][:runs]
+
+    def test_moved_root_fails_back_substitution(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import pdmorse.cli
+
+        real = pdmorse.cli.enumerate_spectrum
+
+        def moved(model, variant, *args):
+            # The printed (0,0) root moves by 1e-6 and keeps the residual stored
+            # at its true energy; the first-principles spectrum stays exact.
+            entries = real(model, variant, *args)
+            if variant.value == "paper-printed":
+                entries = [replace(e, energy=e.energy + 1e-6) if (e.m, e.n) == (0, 0) else e for e in entries]
+            return entries
+
+        monkeypatch.setattr(pdmorse.cli, "enumerate_spectrum", moved)
+        assert run_main("--variant", "paper-printed", "--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert [status for status in verify_statuses(out) if status[0] != "PASS"] == [("FAIL", "back-substitution")]
+        assert "FAIL back-substitution: (0,0) residual " in out
+
+    def test_unmirrored_duplicate_root_fails_degeneracy(self, tmp_path, capsys, monkeypatch):
+        import pdmorse.cli
+
+        real = pdmorse.cli.enumerate_spectrum
+
+        def duplicated(*args):
+            # A second (0,1) root at the same energy, with no second (1,0) root.
+            entries = real(*args)
+            i = next(i for i, e in enumerate(entries) if (e.m, e.n) == (0, 1))
+            return entries[: i + 1] + entries[i:]
+
+        monkeypatch.setattr(pdmorse.cli, "enumerate_spectrum", duplicated)
+        assert run_main("--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert [status for status in verify_statuses(out) if status[0] != "PASS"] == [("FAIL", "degeneracy")]
+        assert "FAIL degeneracy: (0,1) roots differ from (1,0)'s\n" in out
 
     @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
     def test_window_error_reported_by_each_check_that_needs_it(self, tmp_path, capsys, variant):
