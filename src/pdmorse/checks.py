@@ -107,7 +107,7 @@ def check_orthogonality(model: Model) -> str:
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         t = (mid[:, None] + half[:, None] * nodes).ravel()
         w = (half[:, None] * weights).ravel()
-        overlap = float(np.sum(w * s0.norm * wavefunction_1d(ch, s0, t) * s1.norm * wavefunction_1d(ch, s1, t)))
+        overlap = float(np.sum(w * wavefunction_1d(ch, s0, t) * wavefunction_1d(ch, s1, t)))
         assert abs(overlap) < 1e-8, f"{axis}-axis levels 0 and 1 overlap {overlap:.3e}"
         overlaps.append(f"{axis}: <0|1> = {abs(overlap):.3e}")
     return ", ".join(overlaps) or "skipped: fewer than two levels"

@@ -90,6 +90,9 @@ class Model:
     def __post_init__(self):
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar!r}")
+        # eps(E) and the channel weights divide by hbar^2.
+        if not np.finfo(float).tiny <= self.hbar * self.hbar < np.inf:
+            raise ValueError(f"hbar^2 must be a normal finite double, got hbar={self.hbar!r}")
 
 
 def _exponentials(mass: MassParams, x, y):

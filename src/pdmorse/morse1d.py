@@ -3,10 +3,7 @@
 Level m is bound exactly when nu > 0, eta < 0 and |eta| > a sqrt(nu) (2m+1) (P. M.
 Morse, Phys. Rev. 34, 57, 1929); :func:`level_epsilon` alone decides it.  In
 z = (2 sqrt(nu)/a) e^{-ax} the eigenfunctions are z^mu e^{-z/2} L_m^{2mu}(z)
-with mu = sqrt(|eps_m|)/a.  Normalization is exact as well: in z the
-squared norm is Gamma(m + 2mu + 1) / (a m! 2mu) (J. P. Dahl and M. Springborg,
-J. Chem. Phys. 88, 4535, 1988), so every state carries its L2 constant from
-the moment it is built.
+with mu = sqrt(|eps_m|)/a; :func:`wavefunction_1d` returns them L2-normalized.
 """
 
 import math
@@ -50,15 +47,11 @@ class MorseChannel:
 
 @dataclass(frozen=True)
 class Bound1D:
-    """One bound level: quantum number, energy, tail exponent mu, L2 norm.
-
-    ``norm`` times :func:`wavefunction_1d` has unit L2 norm over the real line.
-    """
+    """One bound level: quantum number, energy, tail exponent mu."""
 
     m: int
     epsilon: float
     mu: float
-    norm: float
 
 
 def channel_from_gammas(gamma_lin: float, gamma_quad: float, decay: float, hbar: float) -> MorseChannel:
@@ -83,17 +76,13 @@ def energy_1d(ch: MorseChannel, m: int) -> Bound1D:
     """Closed-form level m: eps_m = -(1/4nu) [|eta| - a sqrt(nu) (2m+1)]^2.
 
     Raises NoBoundStates when the channel binds no level, else InvalidLevel when m is not bound.
-    The L2 constant is N = sqrt(a m! 2mu / Gamma(m + 2mu + 1)), taken through
-    log-gammas so that deep channels (large mu) do not overflow.
     """
     eps = float(level_epsilon(ch, m))
     if math.isnan(eps) and m_max(ch) is None:
         raise NoBoundStates(f"channel {ch} binds no level (needs nu > 0 and lam > 1/2)")
     if math.isnan(eps):
         raise InvalidLevel(f"level m={m} is not bound in channel {ch}, which binds m = 0..{m_max(ch)}")
-    mu = math.sqrt(-eps) / ch.alpha
-    log_norm2 = math.log(ch.alpha * 2.0 * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0)
-    return Bound1D(m=m, epsilon=eps, mu=mu, norm=math.exp(0.5 * log_norm2))
+    return Bound1D(m=m, epsilon=eps, mu=math.sqrt(-eps) / ch.alpha)
 
 
 def level_epsilon(ch: MorseChannel, m: int):
@@ -127,21 +116,26 @@ def _laguerre(n: int, a: float, z):
 
 
 def wavefunction_1d(ch: MorseChannel, state: Bound1D, x):
-    """Unnormalized bound wavefunction X_m(x) = z^mu e^{-z/2} L_m^{2mu}(z).
+    """L2-normalized level ``state``: N z^mu e^{-z/2} L_m^{2mu}(z) with
+    N^2 = 2a mu m! / Gamma(m + 2mu + 1) (J. P. Dahl and M. Springborg, J. Chem. Phys.
+    88, 4535, 1988), for any mu.
 
-    z = z_scale e^{-ax} explodes toward negative x, so the prefactor is
-    evaluated as exp(mu ln z - z/2); once that exponent underflows the state
-    is identically zero to double precision and 0.0 is returned directly.
+    N underflows for deep channels, where the rest overflows, and z = z_scale e^{-ax}
+    explodes toward negative x, so the prefactor is evaluated as exp(ln N + mu ln z - z/2)
+    with ln N from log-gammas; once that exponent underflows the state is identically
+    zero to double precision and 0.0 is returned directly.
     """
     x = np.asarray(x, dtype=float)
+    m, mu = state.m, state.mu
+    log_norm = 0.5 * (math.log(2.0 * ch.alpha * mu) + math.lgamma(m + 1) - math.lgamma(m + 2.0 * mu + 1.0))
     with np.errstate(over="ignore"):
         z = ch.z_scale * np.exp(-ch.alpha * x)
     zf = np.where(np.isfinite(z), z, 1.0)
     logz_cap = np.log(np.maximum(zf, 1.0))
-    dead = ~np.isfinite(z) | (0.5 * zf - (state.mu + state.m) * logz_cap > -_EXP_UNDERFLOW)
+    dead = ~np.isfinite(z) | (0.5 * zf - (mu + m) * logz_cap - log_norm > -_EXP_UNDERFLOW)
     zs = np.where(dead, 1.0, zf)
     with np.errstate(divide="ignore"):
-        exponent = np.where(zs > 0.0, state.mu * np.log(zs), -np.inf) - 0.5 * zs
-    val = _laguerre(state.m, 2.0 * state.mu, zs) * np.exp(exponent)
+        exponent = np.where(zs > 0.0, log_norm + mu * np.log(zs), -np.inf) - 0.5 * zs
+    val = _laguerre(m, 2.0 * mu, zs) * np.exp(exponent)
     out = np.where(dead, 0.0, val)
     return out if out.ndim else float(out)

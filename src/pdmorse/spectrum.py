@@ -422,7 +422,7 @@ def chi_mn(model: Model, entry: SpectrumEntry, x, y, quad_tol: float = 1e-8):
     It is accepted so that existing callers keep working.
     """
     chx, sx, chy, sy = _prepared_axes(model, entry)
-    out = (sx.norm * wavefunction_1d(chx, sx, x)) * (sy.norm * wavefunction_1d(chy, sy, y))
+    out = wavefunction_1d(chx, sx, x) * wavefunction_1d(chy, sy, y)
     return out if np.ndim(out) else float(out)
 
 
@@ -443,8 +443,8 @@ def pde_residual(model: Model, entry: SpectrumEntry, grid: "oracle.Grid2D") -> f
     chx, sx, chy, sy = _prepared_axes(model, entry)
     xs = grid.x.nodes()
     ys = grid.y.nodes()
-    X = sx.norm * wavefunction_1d(chx, sx, xs)
-    Y = sy.norm * wavefunction_1d(chy, sy, ys)
+    X = wavefunction_1d(chx, sx, xs)
+    Y = wavefunction_1d(chy, sy, ys)
     Xpp = (finite_field("x channel potential", chx.potential(xs), xs, ys[0]) - sx.epsilon) * X
     Ypp = (finite_field("y channel potential", chy.potential(ys), xs[0], ys) - sy.epsilon) * Y
 

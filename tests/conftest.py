@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -103,10 +105,10 @@ def supported_models(draw, symmetric: bool = False):
 def quad_overlap(ch: MorseChannel, a, b, tail: float = 40.0) -> float:
     """<a|b> of two normalized states of ``ch`` by adaptive scipy quadrature.
 
-    The states are scaled by their ``norm`` inside the integrand, because the
-    bare closed forms of deep channels overflow a double.  The domain is the
-    oracle's auto-sized grid plus ``tail`` outer-tail e-foldings of the slower
-    state, integrated as two pieces.
+    The domain is the oracle's auto-sized grid plus ``tail`` outer-tail
+    e-foldings of the slower state, integrated as three pieces: the grid is
+    split at the well's minimum, e^{-ax} = |eta| / (2 nu), so that quad sees
+    the narrow peak of a deep channel's state.
     """
     import scipy.integrate
 
@@ -115,8 +117,9 @@ def quad_overlap(ch: MorseChannel, a, b, tail: float = 40.0) -> float:
 
     grid = auto_grid_1d(ch)
     hi = grid.x1 + tail / (min(a.mu, b.mu) * ch.alpha)
-    f = lambda t: a.norm * wavefunction_1d(ch, a, t) * b.norm * wavefunction_1d(ch, b, t)
+    x_min = math.log(-2.0 * ch.nu / ch.eta) / ch.alpha
+    f = lambda t: wavefunction_1d(ch, a, t) * wavefunction_1d(ch, b, t)
     return sum(
         scipy.integrate.quad(f, lo, up, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
-        for lo, up in ((grid.x0, grid.x1), (grid.x1, hi))
+        for lo, up in ((grid.x0, x_min), (x_min, grid.x1), (grid.x1, hi))
     )

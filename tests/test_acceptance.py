@@ -127,20 +127,20 @@ def test_criterion_05_wavefunction_properties():
         sig = vals[np.abs(vals) > 1e-10 * np.max(np.abs(vals))]
         assert int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1]))) == m
 
-    # Orthogonality and the exact norm against quadrature on the reference channel.
+    # Orthogonality and the unit norm by quadrature on the reference channel.
     ch = MorseChannel(eta=-2.0, nu=0.25, alpha=1.0)
     s0, s1 = energy_1d(ch, 0), energy_1d(ch, 1)
     overlap = quad_overlap(ch, s0, s1)
     assert abs(overlap) < 1e-8
 
-    nq = s0.norm / math.sqrt(quad_overlap(ch, s0, s0))
-    assert abs(nq - s0.norm) < 1e-8
+    norm_defect = abs(math.sqrt(quad_overlap(ch, s0, s0)) - 1.0)
+    assert norm_defect < 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(
         5,
         f"nodes == m for m <= 4, orthogonality {abs(overlap):.1e} < 1e-8, "
-        f"quadrature N differs from exact N by {abs(nq - s0.norm):.1e} < 1e-8 (N = {s0.norm:.9f}), {elapsed:.1f}s",
+        f"|sqrt(<0|0>) - 1| = {norm_defect:.1e} < 1e-8 by quadrature, {elapsed:.1f}s",
     )
 
 

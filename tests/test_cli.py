@@ -36,6 +36,9 @@ BAD_CONFIGS = [
     ({"frobnicate": 1}, "unknown config keys: frobnicate"),
     ({"hbar": None}, "field 'hbar' must be a number, got None"),
     ({"hbar": True}, "field 'hbar' must be a number, got True"),
+    ({"hbar": 1e-200}, "hbar^2 must be a normal finite double, got hbar=1e-200"),
+    ({"hbar": 1e-155}, "hbar^2 must be a normal finite double, got hbar=1e-155"),  # subnormal square
+    ({"hbar": 1e160}, "hbar^2 must be a normal finite double, got hbar=1e+160"),
     ({"m0": "1"}, "field 'm0' must be a number, got '1'"),
     ({"b4": False}, "field 'b4' must be a number, got False"),
     ({"m0": -1.0}, "m0 must be positive, got -1.0"),
@@ -457,7 +460,7 @@ class TestVerifyCommand:
         assert out.count("PASS") == 9
         assert "PASS 1d-oracle: max relative eigenvalue error 4.16" in out
         assert "PASS node-counts: node counts match m (x: m <= 1, y: m <= 1)\n" in out
-        assert "PASS orthogonality: x: <0|1> = 1.247e-17, y: <0|1> = 1.247e-17\n" in out
+        assert "PASS orthogonality: x: <0|1> = 1.941e-17, y: <0|1> = 1.941e-17\n" in out
 
     def test_model_bound_only_along_y_checks_y(self, tmp_path, capsys):
         # The x channel binds nothing at E = r; the potential is unbounded.
@@ -466,46 +469,57 @@ class TestVerifyCommand:
         assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_NUMERIC
         out = capsys.readouterr().out.splitlines()
         assert "PASS node-counts: node counts match m (y: m <= 1)" in out
-        assert "PASS orthogonality: y: <0|1> = 1.247e-17" in out
+        assert "PASS orthogonality: y: <0|1> = 1.941e-17" in out
 
     @pytest.mark.parametrize(
         "data, oracle_1d, nodes, overlaps",
         [
             # At E = r the x channel has lam = 0.4 and binds nothing: only y is checked.
             (
-                {"b1": -0.2}, "max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
-                "node counts match m (y: m <= 1)", "y: <0|1> = 1.247e-17",
+                {"b1": -0.2}, "PASS 1d-oracle: max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
+                "node counts match m (y: m <= 1)", "y: <0|1> = 1.941e-17",
             ),
             # x binds level 0 alone: its nodes are counted, but it has no pair to overlap.
             (
-                {"b1": -0.3}, "max relative eigenvalue error 3.960e-07 (Richardson, h and h/2)",
-                "node counts match m (x: m <= 0, y: m <= 1)", "y: <0|1> = 1.247e-17",
+                {"b1": -0.3}, "PASS 1d-oracle: max relative eigenvalue error 3.960e-07 (Richardson, h and h/2)",
+                "node counts match m (x: m <= 0, y: m <= 1)", "y: <0|1> = 1.941e-17",
             ),
             # Neither channel holds a level at E = r.
             (
-                {"b1": -0.2, "b3": -0.2}, "skipped: no channel holds a level at r",
+                {"b1": -0.2, "b3": -0.2}, "PASS 1d-oracle: skipped: no channel holds a level at r",
                 "skipped: no channel holds a level at r", "skipped: fewer than two levels",
             ),
             # At x = -2 the mass is 9e6 times m0, so reduction-identity reads a relative defect.
             (
-                {"a1": 4}, "max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
-                "node counts match m (y: m <= 1)", "y: <0|1> = 1.247e-17",
+                {"a1": 4}, "PASS 1d-oracle: max relative eigenvalue error 4.163e-08 (Richardson, h and h/2)",
+                "node counts match m (y: m <= 1)", "y: <0|1> = 1.941e-17",
+            ),
+            # At E = r each channel's level 0 has mu = 707, where N underflows and the bare
+            # state overflows; the states hold, but 4000 nodes cannot resolve the levels.
+            (
+                {"b2": 1e-6, "b4": 1e-6}, "FAIL 1d-oracle: 1D oracle disagreement 4.882e+04",
+                "node counts match m (x: m <= 4, y: m <= 4)", "x: <0|1> = 1.242e-12, y: <0|1> = 1.242e-12",
             ),
         ],
-        ids=["x-binds-none", "x-binds-one", "neither-binds", "steep-x-mass"],
+        ids=["x-binds-none", "x-binds-one", "neither-binds", "steep-x-mass", "deep-channels"],
     )
     def test_channel_checks_read_the_channels_that_hold_a_level(
         self, tmp_path, capsys, data, oracle_1d, nodes, overlaps
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        assert run_main("--config", str(path), "--out", str(tmp_path), "verify") == EXIT_OK
-        out = capsys.readouterr().out
-        assert verify_statuses(out) == [("PASS", name) for name in readme_verify_checks()]
-        assert f"PASS 1d-oracle: {oracle_1d}\n" in out
+        oracle_status = oracle_1d.split()[0]
+        code = run_main("--config", str(path), "--out", str(tmp_path), "verify")
+        assert code == (EXIT_OK if oracle_status == "PASS" else EXIT_INVARIANT)
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert verify_statuses(out) == [
+            (oracle_status if name == "1d-oracle" else "PASS", name) for name in readme_verify_checks()
+        ]
+        assert f"{oracle_1d}\n" in out
         assert f"PASS node-counts: {nodes}\n" in out
         assert f"PASS orthogonality: {overlaps}\n" in out
-        assert out.endswith("all checks passed\n")
+        assert out.endswith("all checks passed\n" if oracle_status == "PASS" else "first failing check: 1d-oracle\n")
 
     def test_no_fully_valid_level_skips_pde_residual(self, tmp_path, capsys):
         # With no x dependence the x channel binds nothing: no level to check.

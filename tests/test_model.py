@@ -90,8 +90,11 @@ class TestOverflowLocation:
             (lambda x, y: ueff_at(HEAVY, 0.0, x, y), [0.0, -354.0], 1.0, "u_eff", (-354.0, 1.0)),
             # A scalar x whose exponential overflows, over an array of y: its first pair.
             (lambda x, y: mass_at(HEAVY.mass, x, y), -1000.0, [2.0, 3.0], "exp(-2*a1*x)", (-1000.0, 2.0)),
-            # hbar^2 = inf times the vanishing bracket of the reducing ordering: NaN at every node.
-            (lambda x, y: veff_at(replace(HEAVY, hbar=1e200), x, y), [0.0, 1.0], 2.0, "V_eff", (0.0, 2.0)),
+            # hbar^2 / 4M = inf times the vanishing bracket of the reducing ordering: NaN at every node.
+            (
+                lambda x, y: veff_at(replace(HEAVY, hbar=1e100, mass=replace(HEAVY.mass, m0=1e-300)), x, y),
+                [0.0, 1.0], 2.0, "V_eff", (0.0, 2.0),
+            ),
         ],
         ids=["exp-x", "exp-y", "mass", "mass-derivatives", "potential", "ueff", "exp-x-scalar", "veff"],
     )

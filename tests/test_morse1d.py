@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -228,32 +228,41 @@ class TestWavefunction:
         assert wavefunction_1d(paper_channel, s0, -800.0) == 0.0
 
     def test_node_counts_up_to_four(self):
-        ch = MorseChannel(eta=-6.0, nu=0.25, alpha=0.5)  # lam = 12, many levels
-        grid_lo, grid_hi = -10.0, 80.0
-        xs = np.linspace(grid_lo, grid_hi, 8001)
-        for m in range(5):
-            s = energy_1d(ch, m)
-            vals = wavefunction_1d(ch, s, xs)
-            sig = vals[np.abs(vals) > 1e-10 * np.max(np.abs(vals))]
-            nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
-            assert nodes == m
+        channels = [
+            (MorseChannel(eta=-6.0, nu=0.25, alpha=0.5), -10.0, 80.0),  # lam = 12, many levels
+            (MorseChannel(eta=-4.56, nu=0.25, alpha=1.0), -10.0, 80.0),  # level 4 has mu = 0.06
+            (MorseChannel(eta=-2.0, nu=0.01, alpha=1.0), -8.0, 20.0),  # mu = 9.5 .. 5.5
+            (MorseChannel(eta=-2.0, nu=2e-4, alpha=1.0), -12.0, 42.0),  # mu = 70 .. 66
+            # The x channel of {"b2": 1e-6, "b4": 1e-6} at E = r, mu = 707 .. 703: N underflows
+            # and the bare state overflows a double.
+            (MorseChannel(eta=-2.0, nu=2e-6, alpha=1.0), -16.5, 16.0),
+            (MorseChannel(eta=-1.4, nu=1e-6, alpha=1.0), -17.0, 19.0),  # mu = 700 .. 696
+        ]
+        for ch, grid_lo, grid_hi in channels:
+            xs = np.linspace(grid_lo, grid_hi, 8001)
+            for m in range(5):
+                s = energy_1d(ch, m)
+                vals = wavefunction_1d(ch, s, xs)
+                assert np.all(np.isfinite(vals)), (ch, m)
+                sig = vals[np.abs(vals) > 1e-10 * np.max(np.abs(vals))]
+                nodes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
+                assert nodes == m, (ch, m)
 
 
 class TestNormalization:
     def test_known_norms(self, paper_channel):
         # For this channel the squared-norm integrals are exactly 2, so
-        # N = 1/sqrt(2) for both levels.
+        # N = 1/sqrt(2) for both levels; at x = 0, z = 1 and both bare states are e^{-1/2}.
         for m in (0, 1):
             s = energy_1d(paper_channel, m)
-            assert s.norm == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-            by_quadrature = s.norm / math.sqrt(quad_overlap(paper_channel, s, s))
-            assert by_quadrature == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+            assert wavefunction_1d(paper_channel, s, 0.0) == pytest.approx(math.exp(-0.5) / math.sqrt(2), abs=1e-15)
+            assert math.sqrt(quad_overlap(paper_channel, s, s)) == pytest.approx(1.0, abs=1e-9)
 
     def test_doubling_resolution_settles(self, paper_channel):
-        # Doubling the outer tail of the quadrature domain does not move N.
+        # Doubling the outer tail of the quadrature domain does not move the norm.
         s0 = energy_1d(paper_channel, 0)
-        n1 = s0.norm / math.sqrt(quad_overlap(paper_channel, s0, s0))
-        n2 = s0.norm / math.sqrt(quad_overlap(paper_channel, s0, s0, tail=80.0))
+        n1 = math.sqrt(quad_overlap(paper_channel, s0, s0))
+        n2 = math.sqrt(quad_overlap(paper_channel, s0, s0, tail=80.0))
         assert abs(n2 - n1) < 1e-8
 
     def test_orthogonality_same_channel(self, paper_channel):
@@ -264,11 +273,12 @@ class TestNormalization:
 
     def test_near_threshold_norm(self):
         # mu = 2.8e-4: the outer tail spans thousands of decay lengths.  The
-        # value was confirmed by a 30-digit integral in t = -ln z.
+        # pin is N X(5) with N = 0.019769173883306757, which a 30-digit
+        # integral in t = -ln z confirmed.
         ch = MorseChannel(eta=-3.9352851560884305, nu=1.282898585896384, alpha=0.6948021598850062)
         s = energy_1d(ch, 2)
         assert s.mu < 1e-3
-        assert s.norm == pytest.approx(0.019769173883306757, rel=1e-13)
+        assert wavefunction_1d(ch, s, 5.0) == pytest.approx(0.015097820317120163, rel=1e-13)
 
     @given(
         eta=st.floats(-8.0, -0.3),
@@ -277,6 +287,16 @@ class TestNormalization:
         m=st.integers(0, 6),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
+    # Deep channels, mu = 9.5 to 1594; from mu ~ 150 on, N underflows and the bare state overflows.
+    @example(eta=-2.0, nu=0.01, alpha=1.0, m=0)
+    @example(eta=-2.0, nu=2e-4, alpha=1.0, m=1)
+    @example(eta=-2.0, nu=2e-6, alpha=1.0, m=0)
+    @example(eta=-2.0, nu=2e-6, alpha=1.0, m=4)
+    @example(eta=-1.4, nu=1e-6, alpha=1.0, m=2)
+    @example(eta=-8.0, nu=1e-6, alpha=2.5, m=6)
+    @example(eta=-0.3, nu=1e-6, alpha=0.3, m=3)
+    # A top level just above the mu floor: mu = 0.06.
+    @example(eta=-4.56, nu=0.25, alpha=1.0, m=4)
     def test_norm_matches_quadrature(self, eta, nu, alpha, m):
         ch = MorseChannel(eta=eta, nu=nu, alpha=alpha)
         top = m_max(ch)
@@ -288,4 +308,4 @@ class TestNormalization:
     def test_state_is_frozen(self, paper_channel):
         s = energy_1d(paper_channel, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.norm = 1.0
+            s.mu = 1.0
