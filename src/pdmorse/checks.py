@@ -145,6 +145,12 @@ def check_degeneracy(model: Model, window, entries, fp_entries, tol_degeneracy) 
             by_pair.setdefault((e.m, e.n), []).append(e.energy)
         for (m, n), energies in by_pair.items():
             assert sorted(by_pair.get((n, m), [])) == sorted(energies), f"({m},{n}) roots differ from ({n},{m})'s"
+        # Mirrored roots copy their energies, so F itself must be mirror-exact there.
+        for e in entries:
+            if e.m != e.n:
+                f = mismatch(model, e.variant, e.m, e.n, e.energy)
+                g = mismatch(model, e.variant, e.n, e.m, e.energy)
+                assert f.hex() == g.hex(), f"F({e.m},{e.n}) = {f!r} but F({e.n},{e.m}) = {g!r} at E = {e.energy!r}"
     multi = [c for c in clusters if c.multiplicity > 1]
     return f"{len(clusters)} clusters, {len(multi)} degenerate"
 

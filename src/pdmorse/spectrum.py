@@ -115,20 +115,21 @@ def mismatch(model: Model, variant: Variant, m: int, n: int, e):
 
 
 class _Terms:
-    """F's terms at trial energies e that every (m, n) shares, from one gammas_at call.
+    """F = row_x(m) + row_y(n) - c at trial energies e, from one gammas_at call.
 
-    A variant makes one row per m and one per n, and combines a pair's two
-    rows with the shared terms in the arithmetic order of the whole formula,
-    so a pair's F is bitwise what evaluating it alone gives.  Over a scan
-    grid, :meth:`roots` finds each pair's roots from those rows.
+    A variant supplies _row(axis, q), a row and where it leaves F undefined,
+    the constant c, its bracket rule and its probe.  Every pair's F is formed
+    in that one order, so it is bitwise what evaluating the pair alone gives,
+    and F(m, n) and F(n, m) are bitwise equal wherever the axes' rows are.
+    Over a scan grid, :meth:`roots` finds each pair's roots from those rows.
     """
 
     def __init__(self, model: Model, e):
         self.model = model
         self.e = e
         self.g = gammas_at(model, e)
-        self._m_row_at = (None, None)
-        self._n_rows: dict = {}
+        self._x_row_at = (None, None)
+        self._y_rows: dict = {}
 
     @cached_property
     def channels(self):
@@ -141,17 +142,23 @@ class _Terms:
             level_y_allowed=not np.isnan(level_epsilon(chy, n)),
         )
 
-    def rows(self, m: int, n: int):
-        """Row m and row n, from the variant's _m_row and _n_row.
+    def defect(self, m: int, n: int):
+        """F, and where it is undefined.
 
-        Every n row is kept, but only the last m row: callers visit the pairs
+        Every y row is kept, but only the last x row: callers visit the pairs
         m by m, so the rows held stay a few times one pair's.
         """
-        if self._m_row_at[0] != m:
-            self._m_row_at = (m, self._m_row(m))
-        if n not in self._n_rows:
-            self._n_rows[n] = self._n_row(n)
-        return self._m_row_at[1], self._n_rows[n]
+        if self._x_row_at[0] != m:
+            self._x_row_at = (m, self._row(0, m))
+        if n not in self._y_rows:
+            self._y_rows[n] = self._row(1, n)
+        (fx, undefined_x), (fy, undefined_y) = self._x_row_at[1], self._y_rows[n]
+        with np.errstate(all="ignore"):
+            return fx + fy - self.c, undefined_x | undefined_y
+
+    def mismatch(self, m: int, n: int):
+        f, undefined = self.defect(m, n)
+        return np.where(undefined, np.nan, f)
 
     def roots(self, m: int, n: int, tol: float) -> list[SpectrumEntry]:
         """find_roots for one pair over this scan grid; each root's entry from its own terms."""
@@ -182,41 +189,25 @@ class _Terms:
         return entries
 
 
-def _onset_row(ch, q: int):
-    """eps_q of ch with a level not yet bound entering as 0, and where it does."""
-    eq = level_epsilon(ch, q)
-    below = np.isnan(eq) & (ch.nu > 0.0)
-    return np.where(below, 0.0, eq), below
-
-
 class _OnsetTerms(_Terms):
-    """First-principles F = eps_m (x channel) + eps_n (y channel) - eps(E)."""
+    """First-principles F = eps_m (x channel) + eps_n (y channel) - eps(E).
+
+    A level not yet bound enters its row as 0, the eps it reaches at onset,
+    and is undefined there.  So defect's F is continuous and strictly
+    decreasing in E, and NaN only where gamma2 or gamma4 <= 0 (F -> -inf).
+    """
 
     variant = Variant.FIRST_PRINCIPLES
 
     def __init__(self, model: Model, e):
         super().__init__(model, e)
-        self.eps = epsilon_of(model, e)
+        self.c = epsilon_of(model, e)
 
-    def _m_row(self, m: int):
-        return _onset_row(self.channels[0], m)
-
-    def _n_row(self, n: int):
-        return _onset_row(self.channels[1], n)
-
-    def defect(self, m: int, n: int):
-        """F with each level not yet bound entering as 0, the eps it reaches at onset.
-
-        Continuous and strictly decreasing in E, and NaN only where gamma2 or
-        gamma4 <= 0, where F -> -inf.  Also returns where a level is still
-        below its onset, where F is no defect of a physical level.
-        """
-        (fx, below_x), (fy, below_y) = self.rows(m, n)
-        return fx + fy - self.eps, below_x | below_y
-
-    def mismatch(self, m: int, n: int):
-        f, below = self.defect(m, n)
-        return np.where(below, np.nan, f)
+    def _row(self, axis: int, q: int):
+        ch = self.channels[axis]
+        eq = level_epsilon(ch, q)
+        below = np.isnan(eq) & (ch.nu > 0.0)
+        return np.where(below, 0.0, eq), below
 
     def brackets(self, m: int, n: int):
         """F over a scan grid, and the cells whose lower value is > 0 and whose
@@ -230,8 +221,10 @@ class _OnsetTerms(_Terms):
 
 class _PrintedTerms(_Terms):
     """The published condition verbatim: prefactor 8, |gamma3| in both brackets,
-    n paired with the x-axis quantities and m with the y-axis ones, all
-    evaluated at the shift m0 (r - E)."""
+    m paired with the y-axis quantities and n with the x-axis ones, all
+    evaluated at the shift m0 (r - E).  Its rows enter negated and
+    c = -8 gamma2 gamma4 (a + shift), so F = -c - (row_m + row_n) is
+    symmetric in its two rows; c is NaN where gamma2 or gamma4 <= 0."""
 
     variant = Variant.PAPER_PRINTED
 
@@ -239,26 +232,17 @@ class _PrintedTerms(_Terms):
         super().__init__(model, e)
         g = self.g
         with np.errstate(all="ignore"):
-            self.lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
+            lhs = 8.0 * g.gamma2 * g.gamma4 * (model.pot.a + g.shift)
             self.abs3 = np.abs(g.gamma3)
             self.slope_x = model.hbar * model.mass.a1 * np.sqrt(g.gamma2 / 2.0)
             self.slope_y = model.hbar * model.mass.a2 * np.sqrt(g.gamma4 / 2.0)
-        self.defined = (g.gamma2 > 0.0) & (g.gamma4 > 0.0)
+        self.c = np.where((g.gamma2 > 0.0) & (g.gamma4 > 0.0), -lhs, np.nan)
 
-    # The rows are made only inside mismatch's np.errstate.
-    def _m_row(self, m: int):
-        t = self.abs3 - self.slope_y * (2 * m + 1)
-        return self.g.gamma2 * t * t
-
-    def _n_row(self, n: int):
-        t = self.abs3 - self.slope_x * (2 * n + 1)
-        return self.g.gamma4 * t * t
-
-    def mismatch(self, m: int, n: int):
+    def _row(self, axis: int, q: int):
+        weight, slope = (self.g.gamma2, self.slope_y) if axis == 0 else (self.g.gamma4, self.slope_x)
         with np.errstate(all="ignore"):
-            row_m, row_n = self.rows(m, n)
-            f = self.lhs - row_n - row_m
-        return np.where(self.defined, f, np.nan)
+            t = self.abs3 - slope * (2 * q + 1)
+            return -(weight * t * t), False
 
     def brackets(self, m: int, n: int):
         """F over a scan grid, and the cells across which it changes sign."""
@@ -353,8 +337,8 @@ def enumerate_spectrum(
     The scan grid's terms are evaluated once and shared by every pair, which
     finds exactly the roots :func:`find_roots` finds for it alone.  For x<->y
     symmetric parameters only m <= n is scanned and the (n, m) partner is
-    mirrored from the identical root object, so degenerate pairs carry
-    bitwise-equal energies.
+    mirrored: F(n, m) is bitwise F(m, n) there, so the mirror is what
+    scanning (n, m) finds.
     """
     if max_q < 0:
         raise ValueError(f"need max_q >= 0, got {max_q}")

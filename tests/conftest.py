@@ -17,15 +17,18 @@ from pdmorse import (
 )
 
 
+#: The symmetric example parameter set used throughout the suite.
+REFERENCE_MODEL = Model(
+    hbar=1.0,
+    mass=MassParams(m0=1.0, g1=1.0, g2=0.0, g3=1.0, g4=0.0, a1=1.0, a2=1.0),
+    pot=PotentialParams(r=0.0, a=1.0, b1=-1.0, b2=0.125, b3=-1.0, b4=0.125),
+    ordering=solve_ambiguity_free_ordering(),
+)
+
+
 @pytest.fixture(scope="session")
 def reference_model() -> Model:
-    """The symmetric example parameter set used throughout the suite."""
-    return Model(
-        hbar=1.0,
-        mass=MassParams(m0=1.0, g1=1.0, g2=0.0, g3=1.0, g4=0.0, a1=1.0, a2=1.0),
-        pot=PotentialParams(r=0.0, a=1.0, b1=-1.0, b2=0.125, b3=-1.0, b4=0.125),
-        ordering=solve_ambiguity_free_ordering(),
-    )
+    return REFERENCE_MODEL
 
 
 @pytest.fixture(scope="session")

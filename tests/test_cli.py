@@ -658,6 +658,25 @@ class TestVerifyCommand:
         assert "FAIL degeneracy: (0,1) roots differ from (1,0)'s\n" in out
 
     @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
+    def test_asymmetric_row_fails_degeneracy(self, tmp_path, capsys, monkeypatch, variant):
+        from pdmorse import spectrum
+
+        terms = spectrum._TERMS[spectrum.Variant(variant)]
+        real = terms._row
+
+        def skewed(self, axis, q):
+            # The y rows move by a few ulps: the mirrored roots still copy their
+            # energies, but F(m, n) and F(n, m) now differ in the last bits.
+            row, undefined = real(self, axis, q)
+            return (row * (1.0 + 2.0**-50) if axis == 1 else row), undefined
+
+        monkeypatch.setattr(terms, "_row", skewed)
+        assert run_main("--variant", variant, "--out", str(tmp_path), "verify") == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert [status for status in verify_statuses(out) if status[0] != "PASS"] == [("FAIL", "degeneracy")]
+        assert re.search(r"^FAIL degeneracy: F\((\d),(\d)\) = \S+ but F\(\2,\1\) = \S+ at E = \S+$", out, re.M)
+
+    @pytest.mark.parametrize("variant", ["first-principles", "paper-printed"])
     def test_window_error_reported_by_each_check_that_needs_it(self, tmp_path, capsys, variant):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"b1": 0.0, "b2": 0.0, "b3": 0.0, "b4": 0.0, "g1": 0.0, "g3": 0.0}))

@@ -3,7 +3,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmorse import (
@@ -48,7 +48,7 @@ from pdmorse.spectrum import (
     is_xy_symmetric,
     validity_at,
 )
-from tests.conftest import supported_models
+from tests.conftest import REFERENCE_MODEL, supported_models
 
 
 def quadratic_roots_fp(m: int, n: int):
@@ -268,7 +268,7 @@ class TestFindRoots:
             enumerate_spectrum(reference_model, variant, window, 6)
         compare_table(reference_model, window=window)
         assert len(counts) == 34 and (min(counts), max(counts)) == (7, 15)
-        assert sum(counts) == 280
+        assert sum(counts) == 278
 
     @given(drawn=supported_models())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -321,6 +321,21 @@ class TestEnumerate:
         by_pair = {(e.m, e.n): e.energy for e in entries}
         for (m, n), energy in by_pair.items():
             assert by_pair[(n, m)] == energy  # same float, mirrored object
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @given(drawn=supported_models(symmetric=True))
+    @example(drawn=(REFERENCE_MODEL, energy_window(REFERENCE_MODEL)))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_mirror_is_an_independent_solve(self, variant, drawn):
+        # On an x<->y symmetric model F(n, m) is bitwise F(m, n), so the
+        # (n, m) roots enumerate_spectrum mirrors are exactly what solving
+        # (n, m) on its own finds, energies and residuals alike.
+        model, window = drawn
+        assert is_xy_symmetric(model)
+        for m in range(5):
+            for n in range(m + 1, 5):
+                mirrored = [_mirror(e) for e in find_roots(model, variant, m, n, window)]
+                assert find_roots(model, variant, n, m, window) == mirrored, (m, n)
 
     def test_max_q_zero(self, reference_model, window):
         entries = enumerate_spectrum(reference_model, Variant.FIRST_PRINCIPLES, window, 0)
