@@ -3,10 +3,10 @@
 Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
 (tridiagonal bisection in 1D, for exactly the requested index range; in 2D,
-shift-invert Lanczos shifted just below a separable lower bound on the lowest
-eigenvalue, the shifted operator assembled in one pass, split into its
-swap-even and swap-odd halves when the potential is symmetric under x <-> y,
-and each part factored once under a symmetric minimum-degree ordering), the
+the pairwise sums of two such 1D spectra when the potential separates, and
+otherwise shift-invert Lanczos shifted just below a separable lower bound on
+the lowest eigenvalue, the shifted operator assembled in one pass and
+factored once under a symmetric minimum-degree ordering), the
 potential minimum from a scan plus alternating golden-section refinement, and
 the self-consistent 2D energies from an ITP search (interpolation,
 truncation, projection) on the finite-difference level sums, which minus the
@@ -108,27 +108,23 @@ def _dirichlet_levels(potential, grid: Grid1D, first: int, last: int) -> np.ndar
 def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     """Lowest k Dirichlet eigenvalues of -lap + U(x, y) on the grid.
 
-    Assembles the sparse 5-point operator and runs shift-invert ARPACK with a
-    fixed start vector, for k below the number of interior nodes.  ``method``
-    must be ``'lanczos'``, the only solver.
+    ``method`` must be ``'lanczos'``, and k must lie below the number N of
+    interior nodes, the most shift-invert ARPACK returns.
 
-    The shift comes from a separable minorant: with
-    u_x(x) = min_y u and u_y(y) = min_x (u - u_x), u >= u_x + u_y at every
-    node, so by Weyl's inequality lam_1(A) >= lower = lam_1(T_x + u_x) +
-    lam_1(T_y + u_y), two k = 1 tridiagonal solves, with equality for a
-    separable u.  The Dirichlet Laplacian is positive definite, so
-    lower > min u; sigma = lower - 0.1 (lower - min u) lies strictly between
-    them, A - sigma I stays symmetric positive definite, and sigma does not
-    depend on the units of u.
+    With u_x(x) = min_y u and u_y(y) = min_x (u - u_x), the remainder
+    r = u - u_x - u_y is >= 0 at every node, so the 5-point operator A is the
+    Kronecker sum (T_x + u_x) + (T_y + u_y) plus the diagonal r.  The
+    Kronecker sum's eigenvalues are the pairwise sums of its two tridiagonal
+    spectra, so by Weyl's inequality the i-th lowest sum s_i satisfies
+    s_i <= lam_i(A) <= s_i + max r.  When max r <= 8 eps max|u|, u separates
+    to rounding, and the k lowest sums of the axes' lowest min(k, n) levels
+    are returned: no 2D operator is assembled.
 
-    When both axes are the same grid and the sampled u equals its transpose
-    to within 8 eps max|u|, the operator commutes with the swap x <-> y and
-    is solved as its two half-size blocks (see _swap_block_levels).  The
-    coupling dropped between them is the diagonal (u - u^T)/2, so by Weyl's
-    inequality each eigenvalue moves by at most max|u - u^T|/2.  On the
-    benchmark's 96^2 reference (3,3) level, k = 66, the blocks of 4,465 and
-    4,371 columns take 190 and 209 ARPACK solves, where the whole operator
-    of 8,836 took 348.  Every other potential is solved whole.
+    Otherwise shift-invert ARPACK runs on the whole operator from a fixed
+    start vector.  lower = s_1 <= lam_1(A), and the Dirichlet Laplacian is
+    positive definite, so lower > min u; sigma = lower - 0.1 (lower - min u)
+    lies strictly between them, A - sigma I stays symmetric positive
+    definite, and sigma does not depend on the units of u.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -139,17 +135,18 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
         # ARPACK finds at most N - 1 eigenvalues of an N x N operator.
         raise GridTooSmall(f"Lanczos needs k below the grid's {nx_int * ny_int} interior nodes, got {k}")
 
-    import scipy.sparse
-
     X, Y = np.meshgrid(grid.x.interior(), grid.y.interior())
     u = finite_field("grid potential", np.broadcast_to(np.asarray(potential(X, Y), dtype=float), X.shape), X, Y)
-    # min u < sigma < lower <= lam_1(A) (see above), so A - sigma I is
-    # symmetric positive definite and a symmetric minimum-degree ordering of
-    # A^T + A fills in less than the COLAMD column ordering eigsh would use.
     u_x = u.min(axis=0)
     u_y = (u - u_x).min(axis=1)
-    lower = float(fd_eigen_1d(lambda _: u_x, grid.x, 1).eigenvalues[0])
-    lower += float(fd_eigen_1d(lambda _: u_y, grid.y, 1).eigenvalues[0])
+    lam_x = fd_eigen_1d(lambda _: u_x, grid.x, min(k, nx_int)).eigenvalues
+    lam_y = fd_eigen_1d(lambda _: u_y, grid.y, min(k, ny_int)).eigenvalues
+    if np.max((u - u_x) - u_y[:, None]) <= 8.0 * np.finfo(float).eps * np.max(np.abs(u)):
+        return EigenResult(np.sort(np.add.outer(lam_x, lam_y), axis=None)[:k])
+
+    import scipy.sparse.linalg
+
+    lower = float(lam_x[0]) + float(lam_y[0])
     sigma = lower - 0.1 * (lower - float(u.min()))
     # A - sigma I with x fastest: five diagonals, x-couplings cut at row ends.
     n = nx_int * ny_int
@@ -160,88 +157,19 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     shifted = scipy.sparse.diags(
         [cy, cx, (2.0 / hx2 + 2.0 / hy2) + u.ravel() - sigma, cx, cy], offsets=(-nx_int, -1, 0, 1, nx_int), format="csc"
     )
-    vals = None
-    if grid.x == grid.y and np.max(np.abs(u - u.T)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(u)):
-        vals = _swap_block_levels(shifted, nx_int, k, sigma)
-    if vals is None:
-        vals = _shift_invert(shifted, sigma)(k)
-    return EigenResult(vals)
-
-
-def _shift_invert(shifted, sigma: float):
-    """k -> lowest k eigenvalues (ascending) of ``shifted`` + sigma I, from one LU factor.
-
-    ``shifted`` is symmetric positive definite; ARPACK runs in shift-invert
-    mode from the fixed start vector of equal entries with tol = 0.
-    """
-    import scipy.sparse.linalg
-
+    # A symmetric minimum-degree ordering of A^T + A fills in less than the
+    # COLAMD column ordering eigsh would use.
     lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     op_inv = scipy.sparse.linalg.LinearOperator(shifted.shape, matvec=lu.solve, dtype=float)
-    n = shifted.shape[0]
-    v0 = np.ones(n) / math.sqrt(n)
-
-    def lowest(k: int) -> np.ndarray:
-        try:
-            # Given OPinv, eigsh reads only the shape of `shifted`; it returns the unshifted eigenvalues.
-            vals = scipy.sparse.linalg.eigsh(
-                shifted, k=k, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=op_inv, return_eigenvectors=False
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise NotConverged(f"shift-invert Lanczos did not converge: {exc}") from exc
-        return np.sort(np.asarray(vals, dtype=float))
-
-    return lowest
-
-
-def _swap_bases(m: int):
-    """Orthonormal bases (Q_S, Q_A) of the swap-even and swap-odd vectors on m x m nodes.
-
-    Q_S holds e_ii and (e_ij + e_ji)/sqrt2, Q_A the (e_ij - e_ji)/sqrt2, i < j:
-    m (m + 1)/2 and m (m - 1)/2 columns.
-    """
-    import scipy.sparse
-
-    node = np.arange(m * m)
-    mirror = (node % m) * m + node // m
-    eye = scipy.sparse.identity(m * m, format="csc")
-    swap = eye[:, mirror]
-    pairs = node[mirror > node]
-    r2 = math.sqrt(0.5)
-    q_s = scipy.sparse.hstack([eye[:, node[mirror == node]], (eye + swap)[:, pairs] * r2], format="csc")
-    return q_s, ((eye - swap)[:, pairs] * r2).tocsc()
-
-
-def _swap_block_levels(shifted, m: int, k: int, sigma: float):
-    """Lowest k eigenvalues of a swap-symmetric ``shifted`` + sigma I on m x m nodes, or None.
-
-    The operator splits into its swap-even and swap-odd blocks Q^T (A - sigma I) Q,
-    each factored and solved on its own with the same sigma.  The even block is
-    asked for ceil(k/2) + 2 levels and the odd one for floor(k/2) + 2; a block
-    whose largest value lies below the merged k-th may hold more of the lowest
-    k, so it is asked again for twice as many.  At k = 1 the odd block is
-    skipped and the even one asked for its lowest level alone: the 5-point
-    operator's off-diagonal entries are non-positive, so by Perron-Frobenius
-    its ground state is positive, hence swap-even.  None
-    when a block would be asked for as many levels as it has columns, more
-    than ARPACK returns: the caller then solves the whole operator.
-    """
-    asked = [-(-k // 2) + 2, k // 2 + 2] if k > 1 else [1]
-    bases = _swap_bases(m)[: len(asked)]
-    if any(a >= q.shape[1] for a, q in zip(asked, bases)):
-        return None
-    solvers = [_shift_invert((q.T @ shifted @ q).tocsc(), sigma) for q in bases]
-    vals = [solve(a) for solve, a in zip(solvers, asked)]
-    while True:
-        merged = np.sort(np.concatenate(vals))[:k]
-        short = [b for b, v in enumerate(vals) if v[-1] < merged[-1]]
-        if not short:
-            return merged
-        for b in short:
-            asked[b] *= 2
-            if asked[b] >= bases[b].shape[1]:
-                return None
-            vals[b] = solvers[b](asked[b])
+    try:
+        # Given OPinv, eigsh reads only the shape of `shifted`; it returns the unshifted eigenvalues.
+        vals = scipy.sparse.linalg.eigsh(
+            shifted, k=k, sigma=sigma, which="LM", v0=np.full(n, 1.0 / math.sqrt(n)), tol=0, OPinv=op_inv,
+            return_eigenvectors=False,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NotConverged(f"shift-invert Lanczos did not converge: {exc}") from exc
+    return EigenResult(np.sort(np.asarray(vals, dtype=float)))
 
 
 def _level_defect(model: Model, m: int, n: int, grid: Grid2D, e: float) -> float:

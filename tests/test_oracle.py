@@ -271,9 +271,8 @@ class TestFdEigen2D:
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["separable", "coupled"])
     def test_lanczos_shift_between_min_and_ground(self, reference_model, eigsh_calls, coupled):
-        # min u < sigma < lam_1; for a separable u the Weyl bound is lam_1
-        # itself, so sigma sits a tenth of the way from lam_1 down to min u.
-        # The separable u is swap-symmetric: both of its blocks share sigma.
+        # min u < sigma < lam_1 on the one shift-invert solve of a coupled u.
+        # A separable u needs no shift: its levels are sums of 1D levels.
         from pdmorse import ueff_at
 
         if coupled:
@@ -284,54 +283,63 @@ class TestFdEigen2D:
             grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
         lam1 = fd_eigen_2d(u, grid, 3, method="lanczos").eigenvalues[0]
         u_min = float(np.min(u(*np.meshgrid(grid.x.interior(), grid.y.interior()))))
-        shifts = {sigma for _, _, sigma, _ in eigsh_calls}
-        assert len(eigsh_calls) == (1 if coupled else 2) and len(shifts) == 1
-        sigma = shifts.pop()
-        assert u_min < sigma < lam1
+        assert u_min < lam1
         if not coupled:
-            assert lam1 - sigma == pytest.approx(0.1 * (lam1 - u_min), rel=1e-9)
+            assert eigsh_calls == []
+            return
+        [(size, _, sigma, _)] = eigsh_calls
+        assert size == 22 * 24 and u_min < sigma < lam1
 
-    # 22 x 22 interior nodes: swap blocks of 253 and 231 columns.
+    # 22 x 22 interior nodes on equal axes, and 22 x 24 with unequal spacings.
     SQUARE = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-5.0, 5.0, 24))
+    UNEQUAL = Grid2D(Grid1D(-3.0, 7.0, 24), Grid1D(-2.0, 9.0, 26))
 
     @pytest.mark.parametrize(
         "u, grid, k, calls",
         [
-            # At k = 1 the ground state is swap-even (Perron-Frobenius): one block.
-            pytest.param(_COUPLED, SQUARE, 1, [(253, 1)], id="coupled1"),
-            pytest.param(_COUPLED, SQUARE, 10, [(253, 7), (231, 7)], id="coupled10"),
-            # The low states of a steep valley along x = y are even in x - y, so
-            # swap-even: the even block's 7 levels fall below the merged 10th.
+            # A coupled u goes whole to one shift-invert solve on all N nodes.
+            pytest.param(_COUPLED, SQUARE, 1, [(484, 1)], id="coupled1"),
+            pytest.param(_COUPLED, SQUARE, 10, [(484, 10)], id="coupled10"),
+            pytest.param(lambda X, Y: 400.0 * (X - Y) ** 2 + (X + Y) ** 2, SQUARE, 10, [(484, 10)], id="valley10"),
+            # The remainder max r = 1e-9 max|xy| lies far above 8 eps max|u|.
+            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X * Y, SQUARE, 10, [(484, 10)], id="near-separable10"),
+            # A separable u, asymmetric or not, takes no 2D solve at any k < N.
+            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, [], id="near-symmetric10"),
+            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, [], id="all-but-one"),
+            pytest.param(lambda X, Y: np.zeros_like(X), UNEQUAL, 12, [], id="box12"),
+            pytest.param(lambda X, Y: X**2 + Y**2, UNEQUAL, 12, [], id="oscillator12"),
             pytest.param(
-                lambda X, Y: 400.0 * (X - Y) ** 2 + (X + Y) ** 2, SQUARE, 10, [(253, 7), (231, 7), (253, 14)],
-                id="valley10",
-            ),
-            # max|u - u^T| = 1e-9 max|x - y| lies far above 8 eps max|u|: one block.
-            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, [(484, 10)], id="near-symmetric10"),
-            # k = N - 1 is more than the two blocks return: one block of N.
-            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, [(196, 195)], id="all-but-one"),
-            # The even block's 77th level lies below the merged 150th; asked
-            # again for 154, more than its 105 columns, it yields to the whole operator.
-            pytest.param(
-                lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-3.0, 3.0, 16), Grid1D(-3.0, 3.0, 16)), 150,
-                [(105, 77), (91, 77), (196, 150)], id="blocks-fall-back150",
+                lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-3.0, 3.0, 16), Grid1D(-3.0, 3.0, 16)), 150, [],
+                id="blocks-fall-back150",
             ),
         ],
     )
     def test_swap_blocks_match_dense(self, eigsh_calls, u, grid, k, calls):
+        # Separable inputs are Kronecker sums; every other one is solved whole.
         dense = dense_eigenvalues(u, grid)[:k]
         lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - dense)) < 1e-10
         assert [(n, k_b) for n, k_b, _, _ in eigsh_calls] == calls
 
+    @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
+    def test_ueff_takes_no_2d_solve(self, request, eigsh_calls, fixture):
+        from pdmorse import ueff_at
+
+        model = request.getfixturevalue(fixture)
+        u = lambda X, Y: 2.0 * ueff_at(model, -0.2, X, Y)
+        dense = dense_eigenvalues(u, self.UNEQUAL)[:12]
+        vals = fd_eigen_2d(u, self.UNEQUAL, 12, method="lanczos").eigenvalues
+        assert np.max(np.abs(vals - dense)) < 1e-10
+        assert eigsh_calls == []
+
     def test_scalar_potential_is_broadcast(self, eigsh_calls):
-        # The pairwise sums of the 1D box modes, plus c, from both swap blocks.
+        # The pairwise sums of the 1D box modes, plus c, with no 2D solve.
         grid = Grid2D(Grid1D(0.0, 2.0, 21), Grid1D(0.0, 2.0, 21))
         modes = box_modes(grid.x, 19)
         want = np.sort(np.add.outer(modes, modes).ravel())[:8] + 0.75
         lan = fd_eigen_2d(lambda X, Y: 0.75, grid, 8, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - want)) < 1e-10
-        assert [n for n, _, _, _ in eigsh_calls] == [190, 171]
+        assert eigsh_calls == []
 
     def test_overflow_reports_offending_node(self):
         # Non-finite only at the node (2, 1) of a 41^2 grid over [-4, 4]^2.
@@ -351,25 +359,20 @@ class TestFdEigen2D:
         assert abs(r.eigenvalues[0] - want) < 5e-3
 
 
-class TestReadmeLanczosFigures:
-    """README's ARPACK solve counts and L + U fill on three benchmark levels (96^2 over [-4, 12])."""
+class TestBenchmarkLevels:
+    """oracle-certify's 2D levels (96^2 over [-4, 12]) are Kronecker sums, with no 2D solve."""
 
     GRID = Grid2D(Grid1D(-4.0, 12.0, 96), Grid1D(-4.0, 12.0, 96))
 
     @pytest.mark.parametrize(
-        "fixture, m, n, k, blocks",
-        [
-            # (columns, solves at most, nonzeros in L + U in millions under MMD_AT_PLUS_A and COLAMD)
-            ("reference_model", 0, 0, 1, [(4465, 21, 0.12, 0.20)]),
-            ("reference_model", 3, 3, 66, [(4465, 190, 0.12, 0.20), (4371, 209, 0.12, 0.20)]),
-            ("asymmetric_model", 2, 1, 27, [(8836, 149, 0.33, 0.56)]),
-        ],
+        "fixture, m, n, k",
+        [("reference_model", 0, 0, 1), ("reference_model", 3, 3, 66), ("asymmetric_model", 2, 1, 27)],
         ids=["reference-00", "reference-33", "fixture-21"],
     )
-    def test_solves_and_fill_per_block(self, request, eigsh_calls, monkeypatch, fixture, m, n, k, blocks):
+    def test_kronecker_sums_take_no_2d_solve(self, request, eigsh_calls, monkeypatch, fixture, m, n, k):
         import scipy.sparse.linalg
 
-        from pdmorse import Variant, enumerate_spectrum, ueff_at
+        from pdmorse import Variant, enumerate_spectrum, gammas_at, ueff_at
 
         model = request.getfixturevalue(fixture)
         spectrum = enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, energy_window(model), max(m, n))
@@ -377,27 +380,18 @@ class TestReadmeLanczosFigures:
         factored = []
         real = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: factored.append(a) or real(a, **kw))
-        fd_eigen_2d(lambda X, Y: 2.0 * ueff_at(model, energy, X, Y), self.GRID, k, method="lanczos")
-        assert len(eigsh_calls) == len(factored) == len(blocks)
-        for (size, _, _, solves), a, (columns, most, mmd, colamd) in zip(eigsh_calls, factored, blocks):
-            assert size == columns and solves <= most
-            fill = [real(a, permc_spec=spec) for spec in ("MMD_AT_PLUS_A", "COLAMD")]
-            assert [round((lu.L.nnz + lu.U.nnz) / 1e6, 2) for lu in fill] == [mmd, colamd]
-
-    def test_reference_levels_take_the_swap_blocks(self, reference_model):
-        # README: the reference levels read max|u - u^T| = 1.1e-13, below 8 eps max|u|.
-        from pdmorse import ueff_at
-
-        X, Y = np.meshgrid(self.GRID.x.interior(), self.GRID.y.interior())
-        r21, r13 = math.sqrt(21.0), math.sqrt(13.0)
-        worst = 0.0
-        for e in ((math.sqrt(29.0) - 7.0) / 8.0, (r21 - 5.0) / 8.0, (r21 - 3.0) / 8.0,
-                  (r13 - 1.0) / 8.0, (r13 + 1.0) / 8.0, (5.0 + math.sqrt(5.0)) / 8.0):
-            u = 2.0 * ueff_at(reference_model, e, X, Y)
-            gap = float(np.max(np.abs(u - u.T)))
-            assert gap <= 8.0 * np.finfo(float).eps * np.max(np.abs(u))
-            worst = max(worst, gap)
-        assert f"{worst:.1e}" == "1.1e-13"
+        scale = 2.0 / (model.hbar * model.hbar)
+        vals = fd_eigen_2d(lambda X, Y: scale * ueff_at(model, energy, X, Y), self.GRID, k, method="lanczos")
+        assert factored == [] and eigsh_calls == []
+        # The benchmark's reference: one 1D spectrum per axis from the gammas.
+        g = gammas_at(model, energy)
+        a1, a2 = model.mass.a1, model.mass.a2
+        ux = lambda x: scale * (g.gamma1 * np.exp(-a1 * x) + g.gamma2 * np.exp(-2.0 * a1 * x))
+        uy = lambda y: scale * (g.gamma3 * np.exp(-a2 * y) + g.gamma4 * np.exp(-2.0 * a2 * y))
+        lx = fd_eigen_1d(ux, self.GRID.x, 80).eigenvalues
+        ly = fd_eigen_1d(uy, self.GRID.y, 80).eigenvalues
+        sums = np.sort(np.add.outer(lx, ly), axis=None)[:k]
+        assert np.max(np.abs(vals.eigenvalues - sums)) <= 1e-10
 
 
 class TestOracleEnergy2D:
