@@ -2,15 +2,15 @@
 
 Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
-(tridiagonal bisection in 1D, for exactly the requested index range; in 2D,
-the pairwise sums of two such 1D spectra when the potential separates, and
-otherwise shift-invert Lanczos shifted just below a separable lower bound on
-the lowest eigenvalue, the shifted operator assembled in one pass and
-factored once under a symmetric minimum-degree ordering), the
-potential minimum from a scan plus alternating golden-section refinement, and
-the self-consistent 2D energies from an ITP search (interpolation,
-truncation, projection) on the finite-difference level sums, which minus the
-right-hand side decrease strictly in the trial energy.
+(in 1D, one LAPACK dstebz bisection of the three-point operator, built once
+per solve, for exactly the requested index range; in 2D, the pairwise sums of
+two such 1D spectra when the potential separates, and otherwise shift-invert
+Lanczos shifted just below a separable lower bound on the lowest eigenvalue,
+the shifted operator assembled in one pass and factored once under a symmetric
+minimum-degree ordering), the potential minimum from a scan plus alternating
+golden-section refinement, and the self-consistent 2D energies from an ITP
+search (interpolation, truncation, projection) on the finite-difference level
+sums, which minus the right-hand side decrease strictly in the trial energy.
 """
 
 import math
@@ -73,36 +73,44 @@ class EigenResult:
 def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     """Lowest k Dirichlet eigenvalues of -d2/dx2 + U(x) on the grid.
 
-    Three-point Laplacian on the interior nodes; the symmetric tridiagonal
-    eigenproblem is solved by LAPACK's Sturm-sequence bisection, which is
-    deterministic and returns exactly the requested index range.
+    Three-point Laplacian on the interior nodes; one LAPACK dstebz call
+    (Sturm-sequence bisection) solves the symmetric tridiagonal eigenproblem,
+    deterministically and for exactly the requested index range.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return EigenResult(_dirichlet_levels(potential, grid, 0, k - 1))
+    return EigenResult(_ThreePoint(grid).levels(potential, 0, k - 1))
 
 
-def _dirichlet_levels(potential, grid: Grid1D, first: int, last: int) -> np.ndarray:
-    """Dirichlet eigenvalues first..last (0-based, ascending) of -d2/dx2 + U(x) on the grid.
+class _ThreePoint:
+    """-d2/dx2 on a grid's interior nodes, Dirichlet walls: 2/h^2 on the diagonal, -1/h^2 off it."""
 
-    Sturm-sequence bisection costs in proportion to the number of eigenvalues
-    asked for, so one index costs one eigenvalue, not last + 1.
-    """
-    import scipy.linalg
+    def __init__(self, grid: Grid1D):
+        h2 = grid.h * grid.h
+        # A normal, finite h^2 keeps 2/h^2 and -1/h^2 finite.
+        if not np.finfo(float).tiny <= h2 < np.inf:
+            raise GridTooSmall(f"grid spacing h={grid.h!r} has no normal, finite double h^2")
+        self.x = grid.interior()
+        self.diag = 2.0 / h2
+        self.off = np.full(grid.n - 3, -1.0 / h2)
 
-    n_int = grid.n - 2
-    if last >= n_int:
-        raise GridTooSmall(f"requested {last + 1} levels but grid has {n_int} interior nodes")
-    x = grid.interior()
-    u = finite_field("grid potential", np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape), x)
-    h2 = grid.h * grid.h
-    diag = 2.0 / h2 + u
-    off = np.full(n_int - 1, -1.0 / h2)
-    try:
-        vals = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(first, last), eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NotConverged(f"tridiagonal eigensolve failed: {exc}") from exc
-    return np.asarray(vals, dtype=float)
+    def levels(self, potential, first: int, last: int) -> np.ndarray:
+        """Eigenvalues first..last (0-based, ascending) of -d2/dx2 + U(x), at a cost per index asked for.
+
+        The dstebz call of scipy's eigh_tridiagonal(select="i"), so bitwise its levels.
+        """
+        from scipy.linalg.lapack import dstebz
+
+        if last >= self.x.size:
+            raise GridTooSmall(f"requested {last + 1} levels but grid has {self.x.size} interior nodes")
+        diag = self.diag + np.asarray(potential(self.x), dtype=float)
+        if diag.shape != self.x.shape:  # a scalar potential
+            diag = np.broadcast_to(diag, self.x.shape)
+        diag = finite_field("grid potential", diag, self.x)
+        count, vals, _, _, info = dstebz(diag, self.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "E")
+        if info != 0:
+            raise NotConverged(f"tridiagonal eigensolve failed: LAPACK dstebz info={info}")
+        return vals[:count]
 
 
 def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
@@ -172,11 +180,11 @@ def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
     return EigenResult(np.sort(np.asarray(vals, dtype=float)))
 
 
-def _level_defect(model: Model, m: int, n: int, grid: Grid2D, e: float) -> float:
-    """G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 on the grid's two 1D operators."""
+def _level_defect(model: Model, m: int, n: int, axes, e: float) -> float:
+    """G(E) = lam_m(E) + lam_n(E) - 2 xi(E)/hbar^2 on the (x, y) pair ``axes`` of 1D operators."""
     chx, chy = channels_at(model, e)
-    lam_m = float(_dirichlet_levels(chx.potential, grid.x, m, m)[0])
-    lam_n = float(_dirichlet_levels(chy.potential, grid.y, n, n)[0])
+    lam_m = float(axes[0].levels(chx.potential, m, m)[0])
+    lam_n = float(axes[1].levels(chy.potential, n, n)[0])
     return lam_m + lam_n - epsilon_of(model, e)
 
 
@@ -202,7 +210,8 @@ def oracle_energy_2d(model: Model, m: int, n: int, window, grid: Grid2D) -> floa
     """
     if m < 0 or n < 0:
         raise InvalidLevel(f"quantum numbers must be non-negative, got ({m}, {n})")
-    g_of = lambda e: _level_defect(model, m, n, grid, e)
+    axes = (_ThreePoint(grid.x), _ThreePoint(grid.y))
+    g_of = lambda e: _level_defect(model, m, n, axes, e)
     lo, hi = float(window.lo), float(window.hi)
     g_lo = g_of(lo)
     if g_lo == 0.0:

@@ -75,6 +75,11 @@ def draw_supported_channels(seed: int, count: int, mu_margin: float = 0.4, top_c
     return out
 
 
+def failing_dstebz(d, *args):
+    """dstebz's outputs with info = 1: an eigenvalue failed to converge."""
+    return 0, np.zeros_like(d), np.zeros(d.size, dtype=np.int32), np.zeros(d.size, dtype=np.int32), 1
+
+
 @st.composite
 def supported_models(draw, symmetric: bool = False):
     """A model around the reference set whose potential binds, with its window.

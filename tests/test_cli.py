@@ -23,6 +23,7 @@ from pdmorse.cli import (
 )
 from pdmorse.errors import ConfigError
 from pdmorse.spectrum import validity_at
+from tests.conftest import failing_dstebz
 
 
 GRID = DEFAULT_CONFIG["grid"]
@@ -862,6 +863,16 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == "numerical failure: requested 201 levels but grid has 190 interior nodes\n"
 
+    def test_lapack_failure_exits_numeric(self, monkeypatch, capsys):
+        # The oracle imports dstebz at call time, so the patched module attribute is the one it calls.
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_dstebz)
+        assert main(["oracle", "--m", "0", "--n", "0"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: tridiagonal eigensolve failed: LAPACK dstebz info=1\n"
+
 
 class TestMissingOutputDirectory:
     @pytest.mark.parametrize(
@@ -939,7 +950,7 @@ class TestSubprocessEntrypoints:
         assert cp.returncode == 0
         assert "spectrum" in cp.stdout and "compare-table" in cp.stdout
 
-    def test_import_leaves_scipy_unloaded(self):
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
         # The closed-form path never needs scipy; only the FD oracle imports it.
         cp = subprocess.run(
             [sys.executable, "-c", "import sys, pdmorse; print('scipy' in sys.modules)"],
@@ -948,6 +959,18 @@ class TestSubprocessEntrypoints:
         )
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "False"
+        # Nor do the cli-session commands that stay off the oracle, each run through cli.main.
+        run = "import sys; from pdmorse import cli; code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+        for args in (
+            ["spectrum"],
+            ["fields", "--which", "psi", "--m", "0", "--n", "0"],
+            ["fields", "--which", "potential"],
+            ["compare-table"],
+        ):
+            argv = [sys.executable, "-c", run, "--out", str(tmp_path), *args]
+            cp = subprocess.run(argv, capture_output=True, text=True)
+            assert cp.returncode == 0, cp.stderr
+            assert cp.stdout.splitlines()[-1] == "0 False", args
 
     def test_module_spectrum_smoke(self, tmp_path):
         cp = subprocess.run(

@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmorse import (
     EnergyWindow,
@@ -14,6 +16,7 @@ from pdmorse import (
     InvalidLevel,
     MorseChannel,
     NoBracket,
+    NotConverged,
     Unbounded,
     channels_at,
     energy_1d,
@@ -28,7 +31,7 @@ from pdmorse import (
 from pdmorse import oracle
 from pdmorse.model import MassParams, Model, OrderingParams, PotentialParams
 from pdmorse.oracle import auto_grid_1d
-from tests.conftest import draw_supported_channels, supported_models
+from tests.conftest import draw_supported_channels, failing_dstebz, supported_models
 
 
 def box_modes(grid, k):
@@ -57,9 +60,27 @@ def eigsh_calls(monkeypatch):
     return calls
 
 
+def axis_operators(grid):
+    """The (x, y) pair of three-point operators oracle_energy_2d builds for the 2D grid."""
+    return oracle._ThreePoint(grid.x), oracle._ThreePoint(grid.y)
+
+
+def tridiagonal_reference(potential, grid, first, last):
+    """Levels first..last of the three-point operator by scipy's eigh_tridiagonal: the bitwise reference."""
+    import scipy.linalg
+
+    x = grid.interior()
+    h2 = grid.h * grid.h
+    diag = 2.0 / h2 + np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
+    return scipy.linalg.eigh_tridiagonal(
+        diag, np.full(grid.n - 3, -1.0 / h2), select="i", select_range=(first, last), eigvals_only=True
+    )
+
+
 def linear_scan_energy(model, m, n, window, grid, scan_points):
     """A linear scan over the nodes, then an ITP search of the bracketing cell: the search reference."""
-    g_of = lambda e: oracle._level_defect(model, m, n, grid, e)
+    axes = axis_operators(grid)
+    g_of = lambda e: oracle._level_defect(model, m, n, axes, e)
     es = np.linspace(window.lo, window.hi, scan_points)
     vals = [g_of(float(e)) for e in es]
     for i in range(scan_points - 1):
@@ -155,6 +176,42 @@ class TestFdEigen1D:
             Grid1D(1.0, 0.0, 100)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 8)
+
+    @pytest.mark.parametrize("x1", [1e-300, 1e-160], ids=["h2-zero", "h2-subnormal"])
+    def test_degenerate_spacing_is_grid_too_small(self, x1):
+        # h^2 underflows to 0, or to a subnormal whose 2/h^2 is inf.
+        grid = Grid1D(0.0, x1, 16)
+        message = f"grid spacing h={grid.h!r} has no normal, finite double h^2"
+        with pytest.raises(GridTooSmall, match=re.escape(message)):
+            fd_eigen_1d(lambda x: np.zeros_like(x), grid, 1)
+
+    def test_lapack_failure_is_not_converged(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_dstebz)
+        with pytest.raises(NotConverged, match=r"^tridiagonal eigensolve failed: LAPACK dstebz info=1$"):
+            fd_eigen_1d(lambda x: x * x, Grid1D(-1.0, 1.0, 32), 2)
+
+    @given(drawn=supported_models(), data=st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_levels_bitwise_eigh_tridiagonal(self, drawn, data):
+        # One dstebz call is what eigh_tridiagonal(select="i") makes, so every level is its bit for bit.
+        model, window = drawn
+        nodes = data.draw(st.integers(16, 400), label="nodes")
+        grid = Grid1D(-4.0, 12.0, nodes)
+        last = data.draw(st.integers(0, nodes - 3), label="last")
+        first = data.draw(st.integers(0, last), label="first")
+        which = data.draw(st.sampled_from(["x", "y", "scalar"]), label="potential")
+        if which == "scalar":
+            c = data.draw(st.floats(-10.0, 10.0), label="c")
+            potential = lambda x: c
+        else:
+            e = data.draw(st.floats(window.lo, window.hi), label="E")
+            potential = channels_at(model, e)[which == "y"].potential
+        got = oracle._ThreePoint(grid).levels(potential, first, last)
+        want = tridiagonal_reference(potential, grid, first, last)
+        assert got.shape == want.shape == (last - first + 1,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRandomizedOracleEquivalence:
@@ -457,12 +514,13 @@ class TestOracleEnergy2D:
         e_tol = oracle_energy_2d(reference_model, 0, 0, window, grid)
         # The whole window narrows to a few float spacings in fewer than 64 steps.
         calls = []
+        axes = axis_operators(grid)
 
         def capped(e):
             calls.append(e)
             if len(calls) > 64:
                 raise RuntimeError("itp is not narrowing the bracket")
-            return oracle._level_defect(reference_model, 0, 0, grid, e)
+            return oracle._level_defect(reference_model, 0, 0, axes, e)
 
         lo, hi, _, _ = oracle.itp(capped, window.lo, window.hi, capped(window.lo), capped(window.hi), 0.0)
         assert hi - lo <= 4.0 * np.finfo(float).eps
@@ -482,6 +540,7 @@ class TestOracleEnergy2D:
         # midpoints lie within 1e-8 of each other, and G changes sign across E.
         model = request.getfixturevalue(fixture)
         window = energy_window(model)
+        axes = axis_operators(self.SEARCH_GRID)
         for m, n in ((0, 0), (1, 0), (0, 2), (2, 1), (1, 3), (4, 4)):
             args = (model, m, n, window, self.SEARCH_GRID)
             want = outcome(linear_scan_energy, *args, scan_points)
@@ -491,7 +550,7 @@ class TestOracleEnergy2D:
                 continue
             e = float.fromhex(got)
             assert abs(e - float.fromhex(want)) <= 1e-8, (m, n)
-            g_of = lambda t: oracle._level_defect(model, m, n, self.SEARCH_GRID, t)
+            g_of = lambda t: oracle._level_defect(model, m, n, axes, t)
             assert g_of(e - 1e-8) > 0.0 > g_of(e + 1e-8), (m, n)
 
     @pytest.mark.parametrize(
@@ -504,7 +563,7 @@ class TestOracleEnergy2D:
         # is, a zero only at the upper edge is no bracket, and an interior
         # root is narrowed to within 1e-8, as the linear scan over the nodes
         # k/64 does.
-        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: root - e)
+        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, axes, e: root - e)
         args = (reference_model, 0, 0, EnergyWindow(0.0, 63.0 / 64.0), self.SEARCH_GRID)
         got = outcome(oracle_energy_2d, *args)
         ref = outcome(linear_scan_energy, *args, 64)
@@ -520,7 +579,7 @@ class TestOracleEnergy2D:
     def counting_defect(monkeypatch):
         """Count G(E) evaluations, and the 1D solves behind them, of oracle_energy_2d."""
         counts = {"g": 0, "levels": 0, "fd_eigen_1d": 0}
-        real_defect, real_levels, real_eigen = oracle._level_defect, oracle._dirichlet_levels, oracle.fd_eigen_1d
+        real_defect, real_levels, real_eigen = oracle._level_defect, oracle._ThreePoint.levels, oracle.fd_eigen_1d
 
         def tally(key, fn):
             def wrapped(*args):
@@ -529,7 +588,7 @@ class TestOracleEnergy2D:
             return wrapped
 
         monkeypatch.setattr(oracle, "_level_defect", tally("g", real_defect))
-        monkeypatch.setattr(oracle, "_dirichlet_levels", tally("levels", real_levels))
+        monkeypatch.setattr(oracle._ThreePoint, "levels", tally("levels", real_levels))
         monkeypatch.setattr(oracle, "fd_eigen_1d", tally("fd_eigen_1d", real_eigen))
         return counts
 
@@ -571,7 +630,7 @@ class TestOracleEnergy2D:
         g = lambda e: 1.0 - upper * 0.5 * (1.0 + math.tanh((e - root) / width))
         exact = root + width * math.atanh(2.0 / upper - 1.0)
         evals = []
-        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, grid, e: evals.append(e) or g(e))
+        monkeypatch.setattr(oracle, "_level_defect", lambda model, m, n, axes, e: evals.append(e) or g(e))
         window = EnergyWindow(-0.40692966918274637, 1.0)
         e = oracle_energy_2d(reference_model, 0, 0, window, self.SEARCH_GRID)
         assert len(evals) <= 2 + math.ceil(math.log2((window.hi - window.lo) / 1e-8)) + 1
@@ -604,13 +663,59 @@ class TestOracleEnergy2D:
         for model in (reference_model, asymmetric_model):
             for ch in channels_at(model, energy):
                 for grid in grids:
+                    operator = oracle._ThreePoint(grid)
                     inv_h2 = 1.0 / grid.h**2
                     norm = float(np.max(np.abs(2.0 * inv_h2 + ch.potential(grid.interior())) + 2.0 * inv_h2))
                     lowest = fd_eigen_1d(ch.potential, grid, 6).eigenvalues
                     for j in range(6):
-                        single = oracle._dirichlet_levels(ch.potential, grid, j, j)
+                        single = operator.levels(ch.potential, j, j)
                         assert single.shape == (1,)
                         assert abs(single[0] - lowest[j]) <= np.finfo(float).eps * norm, (j, grid.n)
+
+    @pytest.mark.parametrize("x1", [1e-300, 1e-160], ids=["h2-zero", "h2-subnormal"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_degenerate_spacing_is_grid_too_small(self, reference_model, axis, x1):
+        tiny = Grid1D(0.0, x1, 16)
+        grid = Grid2D(tiny, self.SEARCH_GRID.y) if axis == "x" else Grid2D(self.SEARCH_GRID.x, tiny)
+        message = f"grid spacing h={tiny.h!r} has no normal, finite double h^2"
+        with pytest.raises(GridTooSmall, match=re.escape(message)):
+            oracle_energy_2d(reference_model, 0, 0, EnergyWindow(-0.4, 1.0), grid)
+
+    def test_operators_built_once_per_call(self, reference_model, monkeypatch):
+        # All nine G(E) evaluations of the reference ground level reuse one operator per axis.
+        built = []
+
+        class Counted(oracle._ThreePoint):
+            def __init__(self, grid):
+                built.append(grid)
+                super().__init__(grid)
+
+        monkeypatch.setattr(oracle, "_ThreePoint", Counted)
+        oracle_energy_2d(reference_model, 0, 0, energy_window(reference_model), self.SEARCH_GRID)
+        assert built == [self.SEARCH_GRID.x, self.SEARCH_GRID.y]
+
+    # oracle_energy_2d on 192^2 over [-4, 12] at oracle-certify's twelve levels, bit for bit.
+    @pytest.mark.parametrize(
+        "fixture, m, n, pinned",
+        [
+            ("reference_model", 0, 0, "-0x1.9da8ce2a29b14p-3"),
+            ("reference_model", 0, 1, "-0x1.ad15277e4d72ap-5"),
+            ("reference_model", 1, 0, "-0x1.ad15277e4d72ap-5"),
+            ("reference_model", 1, 1, "0x1.93d31b756475ap-3"),
+            ("reference_model", 1, 2, "0x1.4d75e729f02d6p-2"),
+            ("reference_model", 2, 1, "0x1.4d75e729f02d6p-2"),
+            ("reference_model", 2, 2, "0x1.25efaaf01408ap-1"),
+            ("reference_model", 3, 3, "0x1.ce0f1fff8c4f8p-1"),
+            ("asymmetric_model", 0, 0, "-0x1.f36e146db761ep-4"),
+            ("asymmetric_model", 1, 0, "0x1.9e0a37d443736p-4"),
+            ("asymmetric_model", 1, 1, "0x1.4c6b70446f358p-2"),
+            ("asymmetric_model", 2, 1, "0x1.3154c71b365bap-1"),
+        ],
+    )
+    def test_benchmark_levels_pinned(self, request, fixture, m, n, pinned):
+        model = request.getfixturevalue(fixture)
+        grid = Grid2D(Grid1D(-4.0, 12.0, 192), Grid1D(-4.0, 12.0, 192))
+        assert oracle_energy_2d(model, m, n, energy_window(model), grid).hex() == pinned
 
     @pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])
     def test_negative_quantum_number_is_invalid_level(self, reference_model, m, n):
@@ -652,8 +757,9 @@ class TestOracleEnergy2D:
         # The premise of the search: at most one root in the window.
         model, window = drawn
         es = np.linspace(window.lo, window.hi, 64)
+        axes = axis_operators(self.SEARCH_GRID)
         for m, n in ((0, 0), (2, 1)):
-            g = [oracle._level_defect(model, m, n, self.SEARCH_GRID, float(e)) for e in es]
+            g = [oracle._level_defect(model, m, n, axes, float(e)) for e in es]
             assert np.all(np.diff(g) < 0.0)
 
 
