@@ -2,18 +2,23 @@
 
 Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
-(in 1D, one LAPACK dstebz bisection of the three-point operator, built once
-per solve, for exactly the requested index range; in 2D, the pairwise sums of
-two such 1D spectra when the potential separates, and otherwise shift-invert
-Lanczos shifted just below a separable lower bound on the lowest eigenvalue,
-the shifted operator assembled in one pass and factored once under a symmetric
-minimum-degree ordering), the potential minimum from a scan plus alternating
-golden-section refinement, and the self-consistent 2D energies from an ITP
-search (interpolation, truncation, projection) on the finite-difference level
-sums, which minus the right-hand side decrease strictly in the trial energy.
+(in 1D, one dstebz bisection, from scipy's LAPACK extension alone, of the
+three-point operator built once per solve for exactly the requested index
+range; in 2D, the pairwise sums of two such 1D spectra when the potential
+separates, and otherwise shift-invert Lanczos shifted just below a separable
+lower bound on the lowest eigenvalue, the shifted operator assembled in one
+pass and factored once under a symmetric minimum-degree ordering), the
+potential minimum from a scan plus alternating golden-section refinement, and
+the self-consistent 2D energies from an ITP search (interpolation, truncation,
+projection) on the finite-difference level sums, which minus the right-hand
+side decrease strictly in the trial energy.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +87,26 @@ def fd_eigen_1d(potential, grid: Grid1D, k: int) -> EigenResult:
     return EigenResult(_ThreePoint(grid).levels(potential, 0, k - 1))
 
 
+@functools.cache
+def _dstebz():
+    """scipy.linalg.lapack.dstebz from the extension scipy.linalg._flapack alone, which scipy.linalg then reuses."""
+    import scipy  # cheap, and sets up what the extension needs to load
+
+    linalg = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dstebz
+
+
 class _ThreePoint:
     """-d2/dx2 on a grid's interior nodes, Dirichlet walls: 2/h^2 on the diagonal, -1/h^2 off it."""
 
     def __init__(self, grid: Grid1D):
-        h2 = grid.h * grid.h
-        # A normal, finite h^2 keeps 2/h^2 and -1/h^2 finite.
-        if not np.finfo(float).tiny <= h2 < np.inf:
-            raise GridTooSmall(f"grid spacing h={grid.h!r} has no normal, finite double h^2")
+        h2 = float(grid.h) * float(grid.h)  # Python floats overflow and underflow without a warning
+        # dstebz squares entries: it fails past a finite (2/h^2)^2, returns the diagonal below a normal (1/h^2)^2.
+        if not (h2 > 0.0 and (2.0 / h2) * (2.0 / h2) < np.inf and (1.0 / h2) * (1.0 / h2) >= np.finfo(float).tiny):
+            raise GridTooSmall(f"grid spacing h={grid.h!r} needs a finite (2/h^2)^2 and a normal (1/h^2)^2")
         self.x = grid.interior()
         self.diag = 2.0 / h2
         self.off = np.full(grid.n - 3, -1.0 / h2)
@@ -99,15 +116,13 @@ class _ThreePoint:
 
         The dstebz call of scipy's eigh_tridiagonal(select="i"), so bitwise its levels.
         """
-        from scipy.linalg.lapack import dstebz
-
         if last >= self.x.size:
             raise GridTooSmall(f"requested {last + 1} levels but grid has {self.x.size} interior nodes")
         diag = self.diag + np.asarray(potential(self.x), dtype=float)
         if diag.shape != self.x.shape:  # a scalar potential
             diag = np.broadcast_to(diag, self.x.shape)
         diag = finite_field("grid potential", diag, self.x)
-        count, vals, _, _, info = dstebz(diag, self.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "E")
+        count, vals, _, _, info = _dstebz()(diag, self.off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "E")
         if info != 0:
             raise NotConverged(f"tridiagonal eigensolve failed: LAPACK dstebz info={info}")
         return vals[:count]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmorse import channels_at, energy_window, errors
+from pdmorse import channels_at, energy_window, errors, oracle
 from pdmorse.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -864,10 +864,8 @@ class TestOracleCommand:
         assert captured.err == "numerical failure: requested 201 levels but grid has 190 interior nodes\n"
 
     def test_lapack_failure_exits_numeric(self, monkeypatch, capsys):
-        # The oracle imports dstebz at call time, so the patched module attribute is the one it calls.
-        import scipy.linalg.lapack
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_dstebz)
+        # The oracle looks dstebz up through its loader at call time, so the patched loader is the one it calls.
+        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_dstebz)
         assert main(["oracle", "--m", "0", "--n", "0"]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -959,18 +957,24 @@ class TestSubprocessEntrypoints:
         )
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "False"
-        # Nor do the cli-session commands that stay off the oracle, each run through cli.main.
-        run = "import sys; from pdmorse import cli; code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
-        for args in (
-            ["spectrum"],
-            ["fields", "--which", "psi", "--m", "0", "--n", "0"],
-            ["fields", "--which", "potential"],
-            ["compare-table"],
+        # Nor do the cli-session commands that stay off the oracle, each run through cli.main; the two
+        # oracle commands load scipy's LAPACK extension alone, neither scipy.linalg nor scipy.sparse.
+        run = (
+            "import sys; from pdmorse import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, *(name in sys.modules for name in ('scipy', 'scipy.linalg', 'scipy.sparse')))"
+        )
+        for args, loaded in (
+            (["spectrum"], "False False False"),
+            (["fields", "--which", "psi", "--m", "0", "--n", "0"], "False False False"),
+            (["fields", "--which", "potential"], "False False False"),
+            (["compare-table"], "False False False"),
+            (["oracle", "--m", "0", "--n", "0"], "True False False"),
+            (["verify"], "True False False"),
         ):
             argv = [sys.executable, "-c", run, "--out", str(tmp_path), *args]
             cp = subprocess.run(argv, capture_output=True, text=True)
             assert cp.returncode == 0, cp.stderr
-            assert cp.stdout.splitlines()[-1] == "0 False", args
+            assert cp.stdout.splitlines()[-1] == f"0 {loaded}", args
 
     def test_module_spectrum_smoke(self, tmp_path):
         cp = subprocess.run(

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -177,20 +179,50 @@ class TestFdEigen1D:
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 8)
 
-    @pytest.mark.parametrize("x1", [1e-300, 1e-160], ids=["h2-zero", "h2-subnormal"])
+    @pytest.mark.parametrize(
+        "x1",
+        [1e-300, 1e-160, 1e-150, 1e-76, 1e79, 1e300],
+        ids=["h2-zero", "h2-subnormal", "square-inf", "square-just-inf", "square-subnormal", "h2-inf"],
+    )
     def test_degenerate_spacing_is_grid_too_small(self, x1):
-        # h^2 underflows to 0, or to a subnormal whose 2/h^2 is inf.
+        # h^2 underflows to 0 or to a subnormal whose 2/h^2 is inf; or h^2 is a normal double
+        # whose (2/h^2)^2 overflows (dstebz would fail with info=4), or whose (1/h^2)^2 falls
+        # below the smallest normal double (dstebz would split the matrix and return 2/h^2);
+        # or h^2 overflows.
         grid = Grid1D(0.0, x1, 16)
-        message = f"grid spacing h={grid.h!r} has no normal, finite double h^2"
+        message = f"grid spacing h={grid.h!r} needs a finite (2/h^2)^2 and a normal (1/h^2)^2"
         with pytest.raises(GridTooSmall, match=re.escape(message)):
             fd_eigen_1d(lambda x: np.zeros_like(x), grid, 1)
 
-    def test_lapack_failure_is_not_converged(self, monkeypatch):
-        import scipy.linalg.lapack
+    @pytest.mark.parametrize("x1", [1e-75, 1e78], ids=["finest", "coarsest"])
+    def test_extreme_accepted_spacing_solves(self, x1):
+        # h^2 = 4.4e-153 keeps (2/h^2)^2 = 2.0e305 finite, and h^2 = 4.4e153 keeps (1/h^2)^2 =
+        # 5.1e-308 normal: the level is the discrete box mode (4/h^2) sin^2(pi/(2(n-1))).
+        grid = Grid1D(0.0, x1, 16)
+        want = 4.0 / grid.h**2 * math.sin(math.pi / (2 * (grid.n - 1))) ** 2
+        got = fd_eigen_1d(lambda x: np.zeros_like(x), grid, 1).eigenvalues
+        assert got.shape == (1,)
+        assert abs(got[0] - want) <= 1e-12 * want
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_dstebz)
+    def test_lapack_failure_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_dstebz", lambda: failing_dstebz)
         with pytest.raises(NotConverged, match=r"^tridiagonal eigensolve failed: LAPACK dstebz info=1$"):
             fd_eigen_1d(lambda x: x * x, Grid1D(-1.0, 1.0, 32), 2)
+
+    def test_dstebz_is_scipy_lapack_routine(self):
+        import scipy.linalg.lapack
+
+        assert oracle._dstebz() is scipy.linalg.lapack.dstebz
+
+    def test_dstebz_loads_without_scipy_linalg(self):
+        # Loader first: scipy.linalg stays unloaded, and importing it later reuses the same extension.
+        code = (
+            "import sys; from pdmorse import oracle; f = oracle._dstebz(); print('scipy.linalg' in sys.modules); "
+            "import scipy.linalg.lapack; print(f is scipy.linalg.lapack.dstebz)"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.split() == ["False", "True"]
 
     @given(drawn=supported_models(), data=st.data())
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -677,7 +709,7 @@ class TestOracleEnergy2D:
     def test_degenerate_spacing_is_grid_too_small(self, reference_model, axis, x1):
         tiny = Grid1D(0.0, x1, 16)
         grid = Grid2D(tiny, self.SEARCH_GRID.y) if axis == "x" else Grid2D(self.SEARCH_GRID.x, tiny)
-        message = f"grid spacing h={tiny.h!r} has no normal, finite double h^2"
+        message = f"grid spacing h={tiny.h!r} needs a finite (2/h^2)^2 and a normal (1/h^2)^2"
         with pytest.raises(GridTooSmall, match=re.escape(message)):
             oracle_energy_2d(reference_model, 0, 0, EnergyWindow(-0.4, 1.0), grid)
 
