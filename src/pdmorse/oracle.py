@@ -4,11 +4,9 @@ Everything here deliberately avoids the analytic bound-state formulas:
 eigenvalues come from second-order central differences with Dirichlet walls
 (in 1D, one dstebz bisection, from scipy's LAPACK extension alone, of the
 three-point operator built once per solve for exactly the requested index
-range; in 2D, the pairwise sums of two such 1D spectra when the potential
-separates, and otherwise shift-invert Lanczos shifted just below a separable
-lower bound on the lowest eigenvalue, the shifted operator assembled in one
-pass and factored once under a symmetric minimum-degree ordering), the
-potential minimum from a scan plus alternating golden-section refinement, and
+range; in 2D, the pairwise sums of two such 1D spectra, for a potential that
+separates, as every reduced potential of the model does), the potential
+minimum from a scan plus alternating golden-section refinement, and
 the self-consistent 2D energies from an ITP search (interpolation, truncation,
 projection) on the finite-difference level sums, which minus the right-hand
 side decrease strictly in the trial energy.
@@ -129,70 +127,39 @@ class _ThreePoint:
 
 
 def fd_eigen_2d(potential, grid: Grid2D, k: int, method: str) -> EigenResult:
-    """Lowest k Dirichlet eigenvalues of -lap + U(x, y) on the grid.
+    """Lowest k Dirichlet eigenvalues of -lap + U(x, y) on the grid, for a separable U.
 
-    ``method`` must be ``'lanczos'``, and k must lie below the number N of
-    interior nodes, the most shift-invert ARPACK returns.
+    ``method`` must be ``'lanczos'``; it no longer names an algorithm and goes
+    with this function (ROADMAP item 1).  k may reach the number N of interior
+    nodes.
 
     With u_x(x) = min_y u and u_y(y) = min_x (u - u_x), the remainder
-    r = u - u_x - u_y is >= 0 at every node, so the 5-point operator A is the
-    Kronecker sum (T_x + u_x) + (T_y + u_y) plus the diagonal r.  The
-    Kronecker sum's eigenvalues are the pairwise sums of its two tridiagonal
-    spectra, so by Weyl's inequality the i-th lowest sum s_i satisfies
-    s_i <= lam_i(A) <= s_i + max r.  When max r <= 8 eps max|u|, u separates
-    to rounding, and the k lowest sums of the axes' lowest min(k, n) levels
-    are returned: no 2D operator is assembled.
-
-    Otherwise shift-invert ARPACK runs on the whole operator from a fixed
-    start vector.  lower = s_1 <= lam_1(A), and the Dirichlet Laplacian is
-    positive definite, so lower > min u; sigma = lower - 0.1 (lower - min u)
-    lies strictly between them, A - sigma I stays symmetric positive
-    definite, and sigma does not depend on the units of u.
+    r = u - u_x - u_y is >= 0 at every node, and the 5-point operator is the
+    Kronecker sum (T_x + u_x) + (T_y + u_y) plus the diagonal r.  When
+    max r <= 8 eps max|u|, u separates to rounding, and the k lowest pairwise
+    sums of the axes' lowest min(k, n) tridiagonal levels are returned: no 2D
+    operator is assembled.  Any larger remainder is refused with a
+    ValueError before anything is solved.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
     nx_int, ny_int = grid.x.n - 2, grid.y.n - 2
-    if k >= nx_int * ny_int:
-        # ARPACK finds at most N - 1 eigenvalues of an N x N operator.
-        raise GridTooSmall(f"Lanczos needs k below the grid's {nx_int * ny_int} interior nodes, got {k}")
+    if k > nx_int * ny_int:
+        raise GridTooSmall(f"requested {k} levels but grid has {nx_int * ny_int} interior nodes")
 
     X, Y = np.meshgrid(grid.x.interior(), grid.y.interior())
     u = finite_field("grid potential", np.broadcast_to(np.asarray(potential(X, Y), dtype=float), X.shape), X, Y)
     u_x = u.min(axis=0)
     u_y = (u - u_x).min(axis=1)
+    remainder = float(np.max((u - u_x) - u_y[:, None]))
+    limit = 8.0 * np.finfo(float).eps * float(np.max(np.abs(u)))
+    if not remainder <= limit:
+        raise ValueError(f"potential does not separate: max remainder {remainder!r} exceeds 8 eps max|u| = {limit!r}")
     lam_x = fd_eigen_1d(lambda _: u_x, grid.x, min(k, nx_int)).eigenvalues
     lam_y = fd_eigen_1d(lambda _: u_y, grid.y, min(k, ny_int)).eigenvalues
-    if np.max((u - u_x) - u_y[:, None]) <= 8.0 * np.finfo(float).eps * np.max(np.abs(u)):
-        return EigenResult(np.sort(np.add.outer(lam_x, lam_y), axis=None)[:k])
-
-    import scipy.sparse.linalg
-
-    lower = float(lam_x[0]) + float(lam_y[0])
-    sigma = lower - 0.1 * (lower - float(u.min()))
-    # A - sigma I with x fastest: five diagonals, x-couplings cut at row ends.
-    n = nx_int * ny_int
-    hx2, hy2 = grid.x.h ** 2, grid.y.h ** 2
-    cx = np.full(n - 1, -1.0 / hx2)
-    cx[nx_int - 1 :: nx_int] = 0.0
-    cy = np.full(n - nx_int, -1.0 / hy2)
-    shifted = scipy.sparse.diags(
-        [cy, cx, (2.0 / hx2 + 2.0 / hy2) + u.ravel() - sigma, cx, cy], offsets=(-nx_int, -1, 0, 1, nx_int), format="csc"
-    )
-    # A symmetric minimum-degree ordering of A^T + A fills in less than the
-    # COLAMD column ordering eigsh would use.
-    lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    op_inv = scipy.sparse.linalg.LinearOperator(shifted.shape, matvec=lu.solve, dtype=float)
-    try:
-        # Given OPinv, eigsh reads only the shape of `shifted`; it returns the unshifted eigenvalues.
-        vals = scipy.sparse.linalg.eigsh(
-            shifted, k=k, sigma=sigma, which="LM", v0=np.full(n, 1.0 / math.sqrt(n)), tol=0, OPinv=op_inv,
-            return_eigenvectors=False,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NotConverged(f"shift-invert Lanczos did not converge: {exc}") from exc
-    return EigenResult(np.sort(np.asarray(vals, dtype=float)))
+    return EigenResult(np.sort(np.add.outer(lam_x, lam_y), axis=None)[:k])
 
 
 def _level_defect(model: Model, m: int, n: int, axes, e: float) -> float:

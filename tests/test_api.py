@@ -134,3 +134,24 @@ def test_no_library_module_imports_the_cli():
     library = [path for path in sorted(SRC.glob("*.py")) if path.name not in ("cli.py", "__main__.py")]
     assert len(library) >= 8
     assert [hit for path in library for hit in imports_of_cli(path)] == []
+
+
+def sparse_uses(source: str, filename: str = "<module>") -> list[str]:
+    """Lines of ``source`` that import or name ``scipy.sparse``, ``from scipy import sparse`` included."""
+    found = [f"{filename}:{i}" for i, line in enumerate(source.splitlines(), 1) if "scipy.sparse" in line]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy" and any(a.name == "sparse" for a in node.names):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_sparse_uses_finds_every_spelling():
+    source = "import scipy\nfrom scipy import sparse\nimport scipy.sparse.linalg\nscipy.linalg.eigh\n"
+    assert sparse_uses(source) == ["<module>:3", "<module>:2"]
+
+
+def test_no_module_uses_scipy_sparse():
+    # Every 2D operator the package solves separates, so no module needs scipy.sparse.
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    assert [hit for path in paths for hit in sparse_uses(path.read_text(encoding="utf-8"), path.name)] == []

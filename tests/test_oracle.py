@@ -42,26 +42,6 @@ def box_modes(grid, k):
     return 2.0 / grid.h**2 * (1.0 - np.cos(j * math.pi / (grid.n - 1)))
 
 
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """Records (operator size, k, sigma, OPinv applications) for every eigsh call."""
-    import scipy.sparse.linalg
-
-    calls = []
-    real = scipy.sparse.linalg.eigsh
-
-    def spy(a, **kw):
-        op_inv, solves = kw["OPinv"], []
-        counted = lambda v: solves.append(1) or op_inv.matvec(v)
-        kw["OPinv"] = scipy.sparse.linalg.LinearOperator(op_inv.shape, matvec=counted, dtype=float)
-        vals = real(a, **kw)
-        calls.append((a.shape[0], kw["k"], kw["sigma"], len(solves)))
-        return vals
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    return calls
-
-
 def axis_operators(grid):
     """The (x, y) pair of three-point operators oracle_energy_2d builds for the 2D grid."""
     return oracle._ThreePoint(grid.x), oracle._ThreePoint(grid.y)
@@ -264,7 +244,7 @@ class TestRandomizedOracleEquivalence:
 
 
 _MIXED = lambda X, Y: X**2 + Y**2 + X * Y + np.sin(X - 2.0 * Y)
-# Strong coupling: the separable minorant behind the Lanczos shift is loose.
+# Strong coupling: the separable minorant is loose.
 _COUPLED = lambda X, Y: 4.0 * (X - Y) ** 2 + 0.25 * (X + Y) ** 2
 
 
@@ -334,84 +314,66 @@ class TestFdEigen2D:
     ALL_NODES = Grid2D(Grid1D(-4.0, 4.0, 16), Grid1D(-4.0, 4.0, 16))
 
     def test_lanczos_refuses_every_level(self):
-        with pytest.raises(GridTooSmall, match="196 interior nodes"):
-            fd_eigen_2d(lambda X, Y: X**2 + Y**2, self.ALL_NODES, 196, method="lanczos")
+        # The sums supply all N levels; one more has no node left.
+        with pytest.raises(GridTooSmall, match="^requested 197 levels but grid has 196 interior nodes$"):
+            fd_eigen_2d(lambda X, Y: X**2 + Y**2, self.ALL_NODES, 197, method="lanczos")
 
-    @pytest.mark.parametrize(
-        "u, k",
-        [
-            pytest.param(u, k, id=f"{name}{k}")
-            for name, u in (
-                ("", _MIXED),
-                ("coupled-", _COUPLED),
-                # The shift must not depend on the units of u.
-                ("milli-", lambda X, Y: 1e-3 * _MIXED(X, Y)),
-                ("kilo-", lambda X, Y: 1e3 * _MIXED(X, Y)),
-            )
-            for k in (1, 10)
-        ],
-    )
-    def test_lanczos_matches_dense_nonseparable(self, u, k):
-        # 22 x 24 interior nodes with unequal spacings.
-        grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
-        dense = dense_eigenvalues(u, grid)[:k]
-        lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
-        assert np.max(np.abs(lan - dense)) < 1e-10
-
-    @pytest.mark.parametrize("coupled", [False, True], ids=["separable", "coupled"])
-    def test_lanczos_shift_between_min_and_ground(self, reference_model, eigsh_calls, coupled):
-        # min u < sigma < lam_1 on the one shift-invert solve of a coupled u.
-        # A separable u needs no shift: its levels are sums of 1D levels.
+    @pytest.mark.parametrize("energy", [0.0], ids=["separable"])
+    def test_lanczos_shift_between_min_and_ground(self, reference_model, energy):
+        # The Dirichlet Laplacian is positive definite, so the ground level of
+        # a reduced potential's Kronecker sums lies above its minimum.
         from pdmorse import ueff_at
 
-        if coupled:
-            u = _COUPLED
-            grid = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-4.0, 6.0, 26))
-        else:
-            u = lambda X, Y: 2.0 * ueff_at(reference_model, 0.0, X, Y)
-            grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
+        u = lambda X, Y: 2.0 * ueff_at(reference_model, energy, X, Y)
+        grid = Grid2D(Grid1D(-3.0, 12.0, 61), Grid1D(-3.0, 12.0, 61))
         lam1 = fd_eigen_2d(u, grid, 3, method="lanczos").eigenvalues[0]
         u_min = float(np.min(u(*np.meshgrid(grid.x.interior(), grid.y.interior()))))
         assert u_min < lam1
-        if not coupled:
-            assert eigsh_calls == []
-            return
-        [(size, _, sigma, _)] = eigsh_calls
-        assert size == 22 * 24 and u_min < sigma < lam1
 
     # 22 x 22 interior nodes on equal axes, and 22 x 24 with unequal spacings.
     SQUARE = Grid2D(Grid1D(-5.0, 5.0, 24), Grid1D(-5.0, 5.0, 24))
     UNEQUAL = Grid2D(Grid1D(-3.0, 7.0, 24), Grid1D(-2.0, 9.0, 26))
 
     @pytest.mark.parametrize(
-        "u, grid, k, calls",
+        "u, grid, k",
         [
-            # A coupled u goes whole to one shift-invert solve on all N nodes.
-            pytest.param(_COUPLED, SQUARE, 1, [(484, 1)], id="coupled1"),
-            pytest.param(_COUPLED, SQUARE, 10, [(484, 10)], id="coupled10"),
-            pytest.param(lambda X, Y: 400.0 * (X - Y) ** 2 + (X + Y) ** 2, SQUARE, 10, [(484, 10)], id="valley10"),
-            # The remainder max r = 1e-9 max|xy| lies far above 8 eps max|u|.
-            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X * Y, SQUARE, 10, [(484, 10)], id="near-separable10"),
-            # A separable u, asymmetric or not, takes no 2D solve at any k < N.
-            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, [], id="near-symmetric10"),
-            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, [], id="all-but-one"),
-            pytest.param(lambda X, Y: np.zeros_like(X), UNEQUAL, 12, [], id="box12"),
-            pytest.param(lambda X, Y: X**2 + Y**2, UNEQUAL, 12, [], id="oscillator12"),
+            # A separable u, asymmetric or not, is a Kronecker sum at any k <= N.
+            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X, SQUARE, 10, id="near-symmetric10"),
+            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 195, id="all-but-one"),
+            pytest.param(lambda X, Y: X**2 + Y**2, ALL_NODES, 196, id="all-levels"),
+            pytest.param(lambda X, Y: np.zeros_like(X), UNEQUAL, 12, id="box12"),
+            pytest.param(lambda X, Y: X**2 + Y**2, UNEQUAL, 12, id="oscillator12"),
             pytest.param(
-                lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-3.0, 3.0, 16), Grid1D(-3.0, 3.0, 16)), 150, [],
+                lambda X, Y: X**2 + Y**2, Grid2D(Grid1D(-3.0, 3.0, 16), Grid1D(-3.0, 3.0, 16)), 150,
                 id="blocks-fall-back150",
             ),
         ],
     )
-    def test_swap_blocks_match_dense(self, eigsh_calls, u, grid, k, calls):
-        # Separable inputs are Kronecker sums; every other one is solved whole.
+    def test_swap_blocks_match_dense(self, u, grid, k):
         dense = dense_eigenvalues(u, grid)[:k]
         lan = fd_eigen_2d(u, grid, k, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - dense)) < 1e-10
-        assert [(n, k_b) for n, k_b, _, _ in eigsh_calls] == calls
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            pytest.param(_MIXED, id="mixed"),
+            pytest.param(_COUPLED, id="coupled"),
+            pytest.param(lambda X, Y: 400.0 * (X - Y) ** 2 + (X + Y) ** 2, id="valley"),
+            # The remainder max r = 1e-9 max|xy| lies far above 8 eps max|u|.
+            pytest.param(lambda X, Y: X**2 + Y**2 + 1e-9 * X * Y, id="near-separable"),
+        ],
+    )
+    def test_nonseparable_refused_before_any_solve(self, monkeypatch, u):
+        solves = []
+        monkeypatch.setattr(oracle, "fd_eigen_1d", lambda *args: solves.append(args))
+        pattern = r"^potential does not separate: max remainder \S+ exceeds 8 eps max\|u\| = \S+$"
+        with pytest.raises(ValueError, match=pattern):
+            fd_eigen_2d(u, self.SQUARE, 10, method="lanczos")
+        assert solves == []
 
     @pytest.mark.parametrize("fixture", ["reference_model", "asymmetric_model"])
-    def test_ueff_takes_no_2d_solve(self, request, eigsh_calls, fixture):
+    def test_ueff_takes_no_2d_solve(self, request, fixture):
         from pdmorse import ueff_at
 
         model = request.getfixturevalue(fixture)
@@ -419,16 +381,14 @@ class TestFdEigen2D:
         dense = dense_eigenvalues(u, self.UNEQUAL)[:12]
         vals = fd_eigen_2d(u, self.UNEQUAL, 12, method="lanczos").eigenvalues
         assert np.max(np.abs(vals - dense)) < 1e-10
-        assert eigsh_calls == []
 
-    def test_scalar_potential_is_broadcast(self, eigsh_calls):
-        # The pairwise sums of the 1D box modes, plus c, with no 2D solve.
+    def test_scalar_potential_is_broadcast(self):
+        # The pairwise sums of the 1D box modes, plus c.
         grid = Grid2D(Grid1D(0.0, 2.0, 21), Grid1D(0.0, 2.0, 21))
         modes = box_modes(grid.x, 19)
         want = np.sort(np.add.outer(modes, modes).ravel())[:8] + 0.75
         lan = fd_eigen_2d(lambda X, Y: 0.75, grid, 8, method="lanczos").eigenvalues
         assert np.max(np.abs(lan - want)) < 1e-10
-        assert eigsh_calls == []
 
     def test_overflow_reports_offending_node(self):
         # Non-finite only at the node (2, 1) of a 41^2 grid over [-4, 4]^2.
@@ -439,17 +399,9 @@ class TestFdEigen2D:
         assert exc.value.x == pytest.approx(2.0, abs=1e-12)
         assert exc.value.y == pytest.approx(1.0, abs=1e-12)
 
-    def test_lanczos_handles_nonseparable(self):
-        # Coupled oscillator: normal modes with frequencies sqrt(1 +/- 1/2);
-        # ground energy is their average-sum sqrt(3/2) + sqrt(1/2).
-        grid = Grid2D(Grid1D(-9.0, 9.0, 181), Grid1D(-9.0, 9.0, 181))
-        r = fd_eigen_2d(lambda X, Y: X**2 + Y**2 + X * Y, grid, 1, method="lanczos")
-        want = math.sqrt(1.5) + math.sqrt(0.5)
-        assert abs(r.eigenvalues[0] - want) < 5e-3
-
 
 class TestBenchmarkLevels:
-    """oracle-certify's 2D levels (96^2 over [-4, 12]) are Kronecker sums, with no 2D solve."""
+    """oracle-certify's 2D levels (96^2 over [-4, 12]) are Kronecker sums."""
 
     GRID = Grid2D(Grid1D(-4.0, 12.0, 96), Grid1D(-4.0, 12.0, 96))
 
@@ -458,20 +410,14 @@ class TestBenchmarkLevels:
         [("reference_model", 0, 0, 1), ("reference_model", 3, 3, 66), ("asymmetric_model", 2, 1, 27)],
         ids=["reference-00", "reference-33", "fixture-21"],
     )
-    def test_kronecker_sums_take_no_2d_solve(self, request, eigsh_calls, monkeypatch, fixture, m, n, k):
-        import scipy.sparse.linalg
-
+    def test_kronecker_sums_take_no_2d_solve(self, request, fixture, m, n, k):
         from pdmorse import Variant, enumerate_spectrum, gammas_at, ueff_at
 
         model = request.getfixturevalue(fixture)
         spectrum = enumerate_spectrum(model, Variant.FIRST_PRINCIPLES, energy_window(model), max(m, n))
         energy = next(e.energy for e in spectrum if (e.m, e.n) == (m, n) and e.valid.all_ok)
-        factored = []
-        real = scipy.sparse.linalg.splu
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: factored.append(a) or real(a, **kw))
         scale = 2.0 / (model.hbar * model.hbar)
         vals = fd_eigen_2d(lambda X, Y: scale * ueff_at(model, energy, X, Y), self.GRID, k, method="lanczos")
-        assert factored == [] and eigsh_calls == []
         # The benchmark's reference: one 1D spectrum per axis from the gammas.
         g = gammas_at(model, energy)
         a1, a2 = model.mass.a1, model.mass.a2
